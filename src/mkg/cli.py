@@ -3,7 +3,8 @@
 Subcommands: check (one graph), scan (a catalog), ex, chi-index, kneser.
 Exit codes: 0 all verdicts holds or out-of-scope, 1 at least one
 counterexample found (the interesting outcome, announced on stderr),
-2 usage or parse error, 3 undecided due to coloring budget.
+2 usage, parse or environment error (or a report that failed its own
+re-check), 3 undecided due to coloring budget.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from .edge_coloring import chromatic_index
 from .extremal import ex_exact
 from .graph_core import Graph6Error, parse_graph6
 from .kneser import build_matching_kneser, to_dot
-from .verifier import (ConjectureReport, ScanError, VERDICT_COUNTEREXAMPLE,
-                       VERDICT_UNDECIDED, report_to_json, scan_error_to_json,
-                       scan_lines, skipped_report, verify_conjecture)
+from .verifier import (ConfigError, ConjectureReport, ScanError,
+                       SelfCheckError, VERDICT_COUNTEREXAMPLE,
+                       VERDICT_UNDECIDED, report_to_json, resolve_r,
+                       scan_error_to_json, scan_lines, skipped_report,
+                       verify_conjecture)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -91,16 +94,12 @@ def _announce_counterexamples(reports) -> None:
 
 def _cmd_check(args, parser) -> int:
     g = _first_graph(args.graph)
-    r = _parse_r(args.r, parser)
-    if r == "half-order":
-        if g.n % 2 == 1 or g.n == 0:
-            rep = skipped_report(g)
-        else:
-            rep = verify_conjecture(g, g.n // 2, budget=args.budget)
+    r = resolve_r(g, _parse_r(args.r, parser))
+    if r is None:
+        rep = skipped_report(g)
     else:
-        rep = verify_conjecture(g, r, budget=args.budget)
-    if args.dot:
-        kg = build_matching_kneser(g, rep.r) if rep.r >= 1 else None
+        kg = build_matching_kneser(g, r) if args.dot else None
+        rep = verify_conjecture(g, r, budget=args.budget, kg=kg)
         if kg is not None:
             with open(args.dot, "w", encoding="ascii") as fh:
                 fh.write(to_dot(kg))
@@ -214,10 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, parser)
-    except Graph6Error as exc:
-        print(f"mkg: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (Graph6Error, OSError, ConfigError, SelfCheckError) as exc:
         print(f"mkg: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ budget raises BudgetExhausted rather than ever returning a guess.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graph_core import Graph
@@ -68,11 +69,20 @@ class _MisOverflow(Exception):
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
+    """Adjacency bitmask rows of a plain Graph; a KneserGraph carries its
+    own as kg.rows."""
     masks = [0] * g.n
     for u, v in g.edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
+
+
+def _rows_of(graph) -> tuple[int, int, Sequence[int]]:
+    """(vertex count, edge count, adjacency rows) of a KneserGraph or Graph."""
+    if isinstance(graph, KneserGraph):
+        return graph.n, graph.m, graph.rows
+    return graph.n, graph.m, _adjacency_masks(graph)
 
 
 def _greedy_clique(masks: list[int], n: int) -> list[int]:
@@ -353,13 +363,11 @@ def chromatic_number(kg, budget: int = DEFAULT_BUDGET):
     arithmetic depends on the latter).  Raises BudgetExhausted, with the
     best bounds found, if the search exceeds the node budget.
     """
-    g = kg.adjacency if isinstance(kg, KneserGraph) else kg
-    n = g.n
+    n, m, masks = _rows_of(kg)
     if n == 0:
         return 0, Coloring((), 0)
-    if g.m == 0:
+    if m == 0:
         return 1, Coloring((0,) * n, 1)
-    masks = _adjacency_masks(g)
     clique = _greedy_clique(masks, n)
     if len(clique) < 8:
         clique = max(clique, _exact_clique_capped(masks, n, clique), key=len)
@@ -369,7 +377,7 @@ def chromatic_number(kg, budget: int = DEFAULT_BUDGET):
     if lb >= ub:
         return ub, Coloring(tuple(cols0), ub)
     dense = (n >= _COVER_MIN_N and
-             2 * g.m * _COVER_DENSITY_DEN >= _COVER_DENSITY_NUM * n * (n - 1))
+             2 * m * _COVER_DENSITY_DEN >= _COVER_DENSITY_NUM * n * (n - 1))
     if dense:
         try:
             k, cols, _ = _cover_bnb(masks, n, lb, ub, cols0, budget)
@@ -406,12 +414,17 @@ def greedy_ex_coloring(g: Graph, r: int, extremal) -> Coloring:
 
 
 def validate_coloring(graph, coloring: Coloring) -> bool:
-    """Independent properness and no-gap re-check used by the verifier."""
-    g = graph.adjacency if isinstance(graph, KneserGraph) else graph
-    if len(coloring.colors) != g.n:
+    """Independent properness and no-gap re-check used by the verifier:
+    no vertex's adjacency row may meet its own color class."""
+    n, _, rows = _rows_of(graph)
+    colors = coloring.colors
+    if len(colors) != n:
         return False
-    if g.n == 0:
+    if n == 0:
         return coloring.k == 0
-    if sorted(set(coloring.colors)) != list(range(coloring.k)):
+    if sorted(set(colors)) != list(range(coloring.k)):
         return False
-    return all(coloring.colors[u] != coloring.colors[v] for u, v in g.edges)
+    classes = [0] * coloring.k
+    for v, c in enumerate(colors):
+        classes[c] |= 1 << v
+    return all(rows[v] & classes[c] == 0 for v, c in enumerate(colors))

@@ -10,6 +10,7 @@ KG(nK2, rK2) = KG(n, r) can be cross-checked rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .graph_core import Graph, disjoint_matching
@@ -18,27 +19,45 @@ from .matchings import Matching, enumerate_matchings
 
 @dataclass(frozen=True)
 class KneserGraph:
-    """A derived Kneser-type graph.
+    """A derived Kneser-type graph, held as one adjacency bitmask per vertex.
 
     base: the host graph G.
     r: the matching size.
     vertices: the r-matchings, in lexicographic order; vertex i of the
         derived graph is vertices[i].
-    adjacency: the derived Graph on len(vertices) nodes.
+    rows: rows[i] has bit j set iff vertices i and j are adjacent; no
+        vertex is adjacent to itself.
+    m: the number of edges, sum of the row popcounts over 2.
+
+    adjacency, the same graph as a Graph, is built on first use and
+    cached; only DOT output and the isomorphism check need it.
     """
 
     base: Graph
     r: int
     vertices: tuple[Matching, ...]
-    adjacency: Graph
+    rows: tuple[int, ...]
+    m: int
 
     @property
     def n(self) -> int:
-        return self.adjacency.n
+        return len(self.rows)
 
-    @property
-    def m(self) -> int:
-        return self.adjacency.m
+    @cached_property
+    def adjacency(self) -> Graph:
+        edges = []
+        for i, row in enumerate(self.rows):
+            rest = row >> (i + 1) << (i + 1)  # each edge once, from its low end
+            while rest:
+                bit = rest & -rest
+                edges.append((i, bit.bit_length() - 1))
+                rest ^= bit
+        return Graph(self.n, edges)
+
+
+def _from_rows(base: Graph, r: int, verts, rows: list[int]) -> KneserGraph:
+    m = sum(row.bit_count() for row in rows) // 2
+    return KneserGraph(base, r, tuple(verts), tuple(rows), m)
 
 
 def build_matching_kneser(g: Graph, r: int) -> KneserGraph:
@@ -46,21 +65,26 @@ def build_matching_kneser(g: Graph, r: int) -> KneserGraph:
 
     r must be >= 1; r=0 is rejected (it would give a degenerate one-
     vertex graph that answers nothing).  Zero r-matchings yield a null
-    derived graph.  Adjacency comes from pairwise bitmask intersection
-    tests over all vertex pairs, fine at desk scale.
+    derived graph.  With contains[e] the bitmask of the r-matchings that
+    use host edge e, the row of matching M is everything outside the OR
+    of contains[e] over e in M: O(N*r) big-int operations, no pair tests.
     """
     if r < 1:
         raise ValueError("build_matching_kneser requires r >= 1")
     verts = enumerate_matchings(g, r)
-    masks = [mt.edge_mask() for mt in verts]
-    nv = len(verts)
-    edges = []
-    for i in range(nv):
-        mi = masks[i]
-        for j in range(i + 1, nv):
-            if mi & masks[j] == 0:
-                edges.append((i, j))
-    return KneserGraph(g, r, tuple(verts), Graph(nv, edges))
+    contains = [0] * g.m
+    for i, mt in enumerate(verts):
+        bit = 1 << i
+        for e in mt.edges:
+            contains[e] |= bit
+    full = (1 << len(verts)) - 1
+    rows = []
+    for mt in verts:
+        meets = 0
+        for e in mt.edges:
+            meets |= contains[e]
+        rows.append(full & ~meets)
+    return _from_rows(g, r, verts, rows)
 
 
 def build_kneser(n: int, r: int) -> KneserGraph:
@@ -68,9 +92,10 @@ def build_kneser(n: int, r: int) -> KneserGraph:
 
     Encoded over the host nK2 so the result is directly comparable with
     build_matching_kneser(disjoint_matching(n), r): subset element i
-    plays edge index i.  Built from combinations, not from the matching
-    enumerator, to keep the isomorphism check two-sided.  n < r gives a
-    null derived graph.
+    plays edge index i.  Built from combinations and pairwise
+    disjointness tests, not from the matching enumerator or the per-edge
+    masks, to keep the isomorphism check two-sided.  n < r gives a null
+    derived graph.
     """
     if n < 1 or r < 1:
         raise ValueError("build_kneser requires n >= 1 and r >= 1")
@@ -78,14 +103,14 @@ def build_kneser(n: int, r: int) -> KneserGraph:
     subs = list(combinations(range(n), r))
     masks = [sum(1 << x for x in s) for s in subs]
     nv = len(subs)
-    edges = []
+    rows = [0] * nv
     for i in range(nv):
         mi = masks[i]
         for j in range(i + 1, nv):
             if mi & masks[j] == 0:
-                edges.append((i, j))
-    verts = tuple(Matching(s) for s in subs)
-    return KneserGraph(base, r, verts, Graph(nv, edges))
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return _from_rows(base, r, (Matching(s) for s in subs), rows)
 
 
 @dataclass(frozen=True)

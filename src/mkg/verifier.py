@@ -18,9 +18,10 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .coloring import (BudgetExhausted, DEFAULT_BUDGET, chromatic_number)
+from .coloring import (BudgetExhausted, DEFAULT_BUDGET, chromatic_number,
+                       validate_coloring)
 from .edge_coloring import is_snark
-from .extremal import ex_exact
+from .extremal import ex_exact, validate_certificate
 from .graph_core import Graph, Graph6Error, is_connected, parse_graph6, write_graph6
 from .kneser import build_matching_kneser
 
@@ -59,6 +60,15 @@ class ConjectureReport:
     certificates: dict = field(default_factory=dict)
 
 
+class SelfCheckError(RuntimeError):
+    """A certificate computed for a report failed its independent
+    re-check; no verdict is given for that instance."""
+
+
+class ConfigError(ValueError):
+    """A bad environment setting, such as a non-numeric MKG_THREADS."""
+
+
 @dataclass
 class ScanError:
     """A line of a catalog that failed to parse; scanning continues."""
@@ -67,19 +77,30 @@ class ScanError:
     error: str
 
 
-def verify_conjecture(g: Graph, r: int,
-                      budget: int = DEFAULT_BUDGET) -> ConjectureReport:
+def verify_conjecture(g: Graph, r: int, budget: int = DEFAULT_BUDGET,
+                      kg=None) -> ConjectureReport:
     """Compute both sides of the conjecture for (g, r), r >= 1.
 
     Verdict precedence: budget exhaustion gives "undecided" (exit code 3
     at the CLI); otherwise a disconnected host gives "not-connected" and
     r = 1 gives "r-out-of-scope", both still reporting the computed
     sides; otherwise "counterexample" iff the sides differ.
+
+    kg may pass in build_matching_kneser(g, r) when the caller already
+    has it.  Before any report is returned the ex certificate, and the
+    coloring when one was found, are re-checked by independent code;
+    a failure raises SelfCheckError.
     """
     if r < 1:
         raise ValueError("verify_conjecture requires r >= 1")
-    kg = build_matching_kneser(g, r)
+    if kg is None:
+        kg = build_matching_kneser(g, r)
+    elif kg.r != r or kg.base != g:
+        raise ValueError("kg is not KG(g, rK2) for this g and r")
     cert = ex_exact(g, r)
+    if not validate_certificate(g, cert):
+        raise SelfCheckError(
+            f"ex certificate of {write_graph6(g)} at r={r} failed its re-check")
     rhs = g.m - cert.value
     snark, _ = is_snark(g)
     certs = {"extremal_edges": sorted(cert.edges)}
@@ -92,6 +113,10 @@ def verify_conjecture(g: Graph, r: int,
         certs["coloring"] = []
         certs["chi_bounds"] = [exc.lower_bound, exc.upper_bound]
         undecided = True
+    if not undecided and (col.k != chi or not validate_coloring(kg, col)):
+        raise SelfCheckError(
+            f"{chi}-coloring of KG({write_graph6(g)}, {r}K2) "
+            "failed its re-check")
     if kg.n > 0 and kg.m == 0:
         # re-derive edgelessness straight from the matchings: every pair
         # of r-matchings must share an edge
@@ -130,7 +155,7 @@ def skipped_report(g: Graph, reason_verdict: str = VERDICT_OUT_OF_SCOPE,
         verdict=reason_verdict, is_snark=snark, certificates={})
 
 
-def _resolve_r(g: Graph, r_policy):
+def resolve_r(g: Graph, r_policy):
     """int r, or None when the policy yields none for this graph."""
     if r_policy == "half-order":
         if g.n % 2 == 1 or g.n == 0:
@@ -148,16 +173,25 @@ def _scan_worker(args):
         g = parse_graph6(text)
     except Graph6Error as exc:
         return ScanError(lineno, str(exc))
-    r = _resolve_r(g, r_policy)
+    r = resolve_r(g, r_policy)
     if r is None:
         return skipped_report(g)
     return verify_conjecture(g, r, budget=budget)
 
 
 def default_threads() -> int:
+    """MKG_THREADS when set (a positive integer), else the CPU count.
+    Raises ConfigError on any other value."""
     env = os.environ.get("MKG_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ConfigError(
+                f"MKG_THREADS must be a positive integer, got {env!r}")
+        return n
     return os.cpu_count() or 1
 
 

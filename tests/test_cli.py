@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,15 @@ class TestCheck:
         rc = main(["check", "-g", "-", "-r", "2"])
         out, _ = capsys.readouterr()
         assert rc == 0 and "verdict: holds" in out
+
+    def test_dot_half_order(self, g6file, tmp_path, capsys):
+        dot = tmp_path / "kg.dot"
+        rc = main(["check", "-g", g6file(generate("cycle(6)")),
+                   "-r", "half-order", "--dot", str(dot)])
+        out, _ = capsys.readouterr()
+        assert rc == 0 and "r=3" in out
+        kg = build_matching_kneser(generate("cycle(6)"), 3)
+        assert dot.read_text() == to_dot(kg)
 
     def test_dot_output(self, g6file, tmp_path, capsys):
         dot = tmp_path / "kg.dot"
@@ -121,6 +131,17 @@ class TestScan:
         assert err_rec == {"line": 1, "error": err_rec["error"]}
         for line in lines[1:]:
             assert report_to_json(report_from_json(line)) == line
+
+    def test_bad_threads_env_is_usage_error(self, capsys, monkeypatch):
+        path = str(Path(__file__).resolve().parent.parent
+                   / "fixtures" / "petersen.g6")
+        for bad in ("abc", "0", "-2"):
+            monkeypatch.setenv("MKG_THREADS", bad)
+            rc = main(["scan", "-g", path, "-r", "5"])
+            out, err = capsys.readouterr()
+            assert rc == 2, bad
+            assert out == ""
+            assert err.startswith("mkg: MKG_THREADS must be a positive integer")
 
     def test_scan_stdin(self, capsys, monkeypatch):
         text = "\n".join([write_graph6(generate("cycle(4)")),

@@ -8,6 +8,7 @@ from mkg import (
     Graph,
     build_kneser,
     build_matching_kneser,
+    disjoint_matching,
     enumerate_matchings,
     generate,
     structurally_equivalent,
@@ -42,14 +43,19 @@ class TestBuildMatchingKneser:
 
     def test_adjacency_is_edge_disjointness(self):
         rng = random.Random(909)
-        for _ in range(30):
-            g = random_graph(rng, rng.randrange(3, 8), 0.6)
-            kg = build_matching_kneser(g, 2)
-            masks = [mt.edge_mask() for mt in kg.vertices]
-            for i in range(kg.n):
-                for j in range(i + 1, kg.n):
-                    expect = masks[i] & masks[j] == 0
-                    assert kg.adjacency.has_edge(i, j) == expect
+        for r in (2, 3):
+            for _ in range(30):
+                g = random_graph(rng, rng.randrange(3, 9), 0.6)
+                kg = build_matching_kneser(g, r)
+                masks = [mt.edge_mask() for mt in kg.vertices]
+                for i in range(kg.n):
+                    want = sum(1 << j for j in range(kg.n)
+                               if masks[i] & masks[j] == 0)
+                    assert kg.rows[i] == want, (i, r)
+                    for j in range(i + 1, kg.n):
+                        assert kg.adjacency.has_edge(i, j) == bool(want >> j & 1)
+                assert kg.m == len(kg.adjacency.edges)
+                assert kg.adjacency is kg.adjacency  # built once, cached
 
 
 class TestBuildKneser:
@@ -78,6 +84,16 @@ class TestBuildKneser:
             build_kneser(0, 2)
         with pytest.raises(ValueError):
             build_kneser(5, 0)
+
+    def test_rows_equal_matching_route(self):
+        # same vertex order on both sides, so the rows must agree exactly,
+        # also past the 12-vertex limit of the isomorphism check
+        for n in range(1, 9):
+            for r in range(1, n + 1):
+                a = build_matching_kneser(disjoint_matching(n), r)
+                b = build_kneser(n, r)
+                assert a.vertices == b.vertices, (n, r)
+                assert a.rows == b.rows and a.m == b.m, (n, r)
 
 
 class TestStructurallyEquivalent:

@@ -150,6 +150,17 @@ class TestScan:
         threaded = [report_to_json(rep) for rep in scan_lines(lines, 2)]
         assert serial == threaded
 
+    def test_threads_env_must_be_positive_integer(self, monkeypatch):
+        from mkg.verifier import ConfigError, default_threads
+        monkeypatch.setenv("MKG_THREADS", "3")
+        assert default_threads() == 3
+        for bad in ("abc", "0", "-1", "2.5"):
+            monkeypatch.setenv("MKG_THREADS", bad)
+            with pytest.raises(ConfigError):
+                default_threads()
+        monkeypatch.setenv("MKG_THREADS", "")  # empty means unset
+        assert default_threads() >= 1
+
     def test_scan_catalog(self, tmp_path):
         path = tmp_path / "cat.g6"
         path.write_text(write_graph6(generate("cycle(4)")) + "\n\n"
@@ -160,6 +171,42 @@ class TestScan:
     def test_bad_fixed_r(self):
         with pytest.raises(ValueError):
             list(scan_lines(["A_"], 0))
+
+
+class TestSelfCheck:
+    def test_improper_coloring_raises(self, monkeypatch):
+        from mkg import Coloring
+        import mkg.verifier as verifier
+
+        def one_color(kg, budget):
+            return 1, Coloring((0,) * kg.n, 1)
+
+        monkeypatch.setattr(verifier, "chromatic_number", one_color)
+        with pytest.raises(verifier.SelfCheckError):
+            verify_conjecture(generate("cycle(5)"), 2)  # KG is a 5-cycle
+        # an edgeless Kneser graph really is 1-colorable
+        assert verify_conjecture(generate("petersen"), 5).chromatic_number == 1
+
+    def test_bad_ex_certificate_raises(self, monkeypatch):
+        from mkg import ExtremalCertificate
+        import mkg.verifier as verifier
+
+        def all_edges(g, r):
+            return ExtremalCertificate(frozenset(range(g.m)), g.m, r)
+
+        monkeypatch.setattr(verifier, "ex_exact", all_edges)
+        with pytest.raises(verifier.SelfCheckError):
+            verify_conjecture(generate("cycle(5)"), 2)
+
+    def test_prebuilt_kneser_graph_must_match(self):
+        g = generate("cycle(5)")
+        kg = build_matching_kneser(g, 2)
+        assert (report_to_json(verify_conjecture(g, 2, kg=kg))
+                == report_to_json(verify_conjecture(g, 2)))
+        with pytest.raises(ValueError):
+            verify_conjecture(g, 1, kg=kg)
+        with pytest.raises(ValueError):
+            verify_conjecture(generate("cycle(6)"), 2, kg=kg)
 
 
 class TestJson:
