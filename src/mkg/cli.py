@@ -3,38 +3,40 @@
 Subcommands: check (one graph), scan (a catalog), ex, chi-index, kneser.
 Exit codes: 0 all verdicts holds or out-of-scope, 1 at least one
 counterexample found (the interesting outcome, announced on stderr),
-2 usage, parse or environment error (or a report that failed its own
+2 usage, parse or input error (or a report that failed its own
 re-check), 3 undecided due to coloring budget.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .coloring import DEFAULT_BUDGET
 from .edge_coloring import chromatic_index
 from .extremal import ex_exact
-from .graph_core import Graph6Error, parse_graph6
+from .graph_core import Graph6Error, open_graph6, parse_graph6
 from .kneser import build_matching_kneser, to_dot
-from .verifier import (ConfigError, ConjectureReport, ScanError,
+from .verifier import (ConjectureReport, ScanError,
                        SelfCheckError, VERDICT_COUNTEREXAMPLE,
                        VERDICT_UNDECIDED, report_to_json, resolve_r,
                        scan_error_to_json, scan_lines, skipped_report,
                        verify_conjecture)
 
 
-def _read_lines(path: str) -> list[str]:
+def _open_input(path: str):
+    """The graph6 input named by -g: a file, or stdin for "-"."""
     if path == "-":
-        return sys.stdin.read().splitlines()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read().splitlines()
+        return contextlib.nullcontext(sys.stdin)
+    return open_graph6(path)
 
 
 def _first_graph(path: str):
-    for line in _read_lines(path):
-        if line.strip():
-            return parse_graph6(line)
+    with _open_input(path) as fh:
+        for line in fh:
+            if line.strip():
+                return parse_graph6(line)
     raise Graph6Error("no graph6 line found in input", 0)
 
 
@@ -73,8 +75,7 @@ def _scan_line_text(rec) -> str:
             f"snark={str(rec.is_snark).lower()}")
 
 
-def _exit_code(reports, had_parse_error: bool) -> int:
-    verdicts = [rep.verdict for rep in reports]
+def _exit_code(verdicts, had_parse_error: bool) -> int:
     if VERDICT_COUNTEREXAMPLE in verdicts:
         return 1
     if VERDICT_UNDECIDED in verdicts:
@@ -105,24 +106,27 @@ def _cmd_check(args, parser) -> int:
                 fh.write(to_dot(kg))
     print(report_to_json(rep) if args.json else _report_text(rep))
     _announce_counterexamples([rep])
-    return _exit_code([rep], False)
+    return _exit_code({rep.verdict}, False)
 
 
 def _cmd_scan(args, parser) -> int:
     r_policy = _parse_r(args.r, parser)
-    lines = _read_lines(args.graph)
-    reports = []
+    verdicts = set()
+    counterexamples = []  # the only reports kept past their output line
     had_error = False
-    for rec in scan_lines(lines, r_policy):
-        if isinstance(rec, ScanError):
-            had_error = True
-            print(scan_error_to_json(rec) if args.json
-                  else _scan_line_text(rec))
-            continue
-        reports.append(rec)
-        print(report_to_json(rec) if args.json else _scan_line_text(rec))
-    _announce_counterexamples(reports)
-    return _exit_code(reports, had_error)
+    with _open_input(args.graph) as fh:
+        for rec in scan_lines(fh, r_policy):
+            if isinstance(rec, ScanError):
+                had_error = True
+                print(scan_error_to_json(rec) if args.json
+                      else _scan_line_text(rec))
+                continue
+            verdicts.add(rec.verdict)
+            if rec.verdict == VERDICT_COUNTEREXAMPLE:
+                counterexamples.append(rec)
+            print(report_to_json(rec) if args.json else _scan_line_text(rec))
+    _announce_counterexamples(counterexamples)
+    return _exit_code(verdicts, had_error)
 
 
 def _cmd_ex(args, parser) -> int:
@@ -213,7 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, parser)
-    except (Graph6Error, OSError, ConfigError, SelfCheckError) as exc:
+    except (Graph6Error, OSError, SelfCheckError) as exc:
         print(f"mkg: {exc}", file=sys.stderr)
         return 2
 

@@ -18,11 +18,9 @@ budget raises BudgetExhausted rather than ever returning a guess.
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graph_core import Graph
-from .kneser import KneserGraph
 from .matchings import enumerate_matchings, has_matching_of_size
 
 DEFAULT_BUDGET = 10_000_000
@@ -68,23 +66,6 @@ class _MisOverflow(Exception):
     pass
 
 
-def _adjacency_masks(g: Graph) -> list[int]:
-    """Adjacency bitmask rows of a plain Graph; a KneserGraph carries its
-    own as kg.rows."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def _rows_of(graph) -> tuple[int, int, Sequence[int]]:
-    """(vertex count, edge count, adjacency rows) of a KneserGraph or Graph."""
-    if isinstance(graph, KneserGraph):
-        return graph.n, graph.m, graph.rows
-    return graph.n, graph.m, _adjacency_masks(graph)
-
-
 def _greedy_clique(masks: list[int], n: int) -> list[int]:
     verts = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
     clique = []
@@ -124,12 +105,6 @@ def _exact_clique_capped(masks: list[int], n: int, seed: list[int],
     return best
 
 
-def _dsatur_order_key(satdeg, degs):
-    def key(v):
-        return (satdeg[v], degs[v], -v)
-    return key
-
-
 def _greedy_dsatur(masks: list[int], n: int) -> list[int]:
     """One-pass DSATUR heuristic coloring (no backtracking): the upper
     bound and incumbent witness for both exact engines."""
@@ -138,9 +113,8 @@ def _greedy_dsatur(masks: list[int], n: int) -> list[int]:
     degs = [masks[v].bit_count() for v in range(n)]
     satdeg = [0] * n
     uncolored = set(range(n))
-    key = _dsatur_order_key(satdeg, degs)
     for _ in range(n):
-        v = max(uncolored, key=key)
+        v = max(uncolored, key=lambda u: (satdeg[u], degs[u], -u))
         uncolored.discard(v)
         c = 0
         blocked = neigh[v]
@@ -358,12 +332,13 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
 def chromatic_number(kg, budget: int = DEFAULT_BUDGET):
     """Exact chi with a witnessing Coloring, as (chi, Coloring).
 
-    Accepts a KneserGraph or a plain Graph.  Conventions: the null graph
+    Reads kg.n, kg.m and the adjacency bitmasks kg.rows, so a KneserGraph
+    and a plain Graph are both accepted.  Conventions: the null graph
     has chi 0, a nonempty edgeless graph has chi 1 (the counterexample
     arithmetic depends on the latter).  Raises BudgetExhausted, with the
     best bounds found, if the search exceeds the node budget.
     """
-    n, m, masks = _rows_of(kg)
+    n, m, masks = kg.n, kg.m, kg.rows
     if n == 0:
         return 0, Coloring((), 0)
     if m == 0:
@@ -416,7 +391,7 @@ def greedy_ex_coloring(g: Graph, r: int, extremal) -> Coloring:
 def validate_coloring(graph, coloring: Coloring) -> bool:
     """Independent properness and no-gap re-check used by the verifier:
     no vertex's adjacency row may meet its own color class."""
-    n, _, rows = _rows_of(graph)
+    n, rows = graph.n, graph.rows
     colors = coloring.colors
     if len(colors) != n:
         return False

@@ -33,12 +33,14 @@ class Graph:
             tuple is the canonical edge index.
         m: number of edges.
         adj: tuple of frozensets, adj[v] = neighbors of v.
+        rows: adjacency bitmasks, bit w of rows[v] set iff {v, w} is an
+            edge; built on first use.
 
     The null graph (n=0) is legal and counts as connected.
     """
 
-    __slots__ = ("n", "edges", "m", "adj", "_eindex", "_evmask", "_hash",
-                 "__weakref__")
+    __slots__ = ("n", "edges", "m", "adj", "_eindex", "_evmask", "_rows",
+                 "_hash", "__weakref__")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -64,6 +66,7 @@ class Graph:
         self.adj = tuple(frozenset(s) for s in adj)
         self._eindex = {e: i for i, e in enumerate(canon)}
         self._evmask = None
+        self._rows = None
         self._hash = hash((n, self.edges))
 
     def degree(self, v: int) -> int:
@@ -86,6 +89,21 @@ class Graph:
         if self._evmask is None:
             self._evmask = tuple((1 << u) | (1 << v) for u, v in self.edges)
         return self._evmask
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Per-vertex adjacency bitmask, the form a KneserGraph also holds,
+        so the coloring engines and the isomorphism check read either.
+
+        Computed once on first use.
+        """
+        if self._rows is None:
+            rows = [0] * self.n
+            for u, v in self.edges:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            self._rows = tuple(rows)
+        return self._rows
 
     def __eq__(self, other):
         return (isinstance(other, Graph)
@@ -178,10 +196,20 @@ def write_graph6(g: Graph) -> str:
     return out.decode("ascii")
 
 
+def open_graph6(path):
+    """Open a graph6 file for reading as text.
+
+    Bytes outside ASCII are kept as lone surrogates instead of failing
+    the read with UnicodeDecodeError, so parse_graph6 rejects their line
+    with a Graph6Error like any other malformed graph6.
+    """
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
+
+
 def read_graph6_file(path) -> list[Graph]:
     """Parse every non-blank line of a graph6 file."""
     graphs = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open_graph6(path) as fh:
         for line in fh:
             line = line.strip()
             if line:

@@ -10,7 +10,6 @@ KG(nK2, rK2) = KG(n, r) can be cross-checked rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .graph_core import Graph, disjoint_matching
@@ -26,11 +25,9 @@ class KneserGraph:
     vertices: the r-matchings, in lexicographic order; vertex i of the
         derived graph is vertices[i].
     rows: rows[i] has bit j set iff vertices i and j are adjacent; no
-        vertex is adjacent to itself.
+        vertex is adjacent to itself.  Graph.rows has the same form, so
+        code that reads only n, m and rows takes either.
     m: the number of edges, sum of the row popcounts over 2.
-
-    adjacency, the same graph as a Graph, is built on first use and
-    cached; only DOT output and the isomorphism check need it.
     """
 
     base: Graph
@@ -42,17 +39,6 @@ class KneserGraph:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def adjacency(self) -> Graph:
-        edges = []
-        for i, row in enumerate(self.rows):
-            rest = row >> (i + 1) << (i + 1)  # each edge once, from its low end
-            while rest:
-                bit = rest & -rest
-                edges.append((i, bit.bit_length() - 1))
-                rest ^= bit
-        return Graph(self.n, edges)
 
 
 def _from_rows(base: Graph, r: int, verts, rows: list[int]) -> KneserGraph:
@@ -129,22 +115,19 @@ class EquivalenceResult:
         return self.equivalent
 
 
-def _as_graph(x) -> Graph:
-    return x.adjacency if isinstance(x, KneserGraph) else x
-
-
-def _isomorphic(a: Graph, b: Graph) -> bool:
+def _isomorphic(a, b) -> bool:
     """Backtracking vertex bijection; intended for <= 12 vertices."""
     if a.n != b.n or a.m != b.m:
         return False
-    da = sorted(len(s) for s in a.adj)
-    db = sorted(len(s) for s in b.adj)
-    if da != db:
+    ra, rb = a.rows, b.rows
+    da = [row.bit_count() for row in ra]
+    db = [row.bit_count() for row in rb]
+    if sorted(da) != sorted(db):
         return False
     n = a.n
     # map vertices of a in descending degree order, candidates must match
     # degree and adjacency with everything already mapped
-    order = sorted(range(n), key=lambda v: (-len(a.adj[v]), v))
+    order = sorted(range(n), key=lambda v: (-da[v], v))
     image = [-1] * n
     used = [False] * n
 
@@ -153,12 +136,12 @@ def _isomorphic(a: Graph, b: Graph) -> bool:
             return True
         v = order[k]
         for w in range(n):
-            if used[w] or len(b.adj[w]) != len(a.adj[v]):
+            if used[w] or db[w] != da[v]:
                 continue
             ok = True
             for j in range(k):
                 u = order[j]
-                if (u in a.adj[v]) != (image[u] in b.adj[w]):
+                if (ra[v] >> u & 1) != (rb[w] >> image[u] & 1):
                     ok = False
                     break
             if ok:
@@ -180,22 +163,27 @@ def structurally_equivalent(a, b) -> EquivalenceResult:
     (vertex count, edge count, sorted degree sequence) are compared and
     the result is flagged as invariant-level.
     """
-    ga, gb = _as_graph(a), _as_graph(b)
-    if ga.n <= 12 and gb.n <= 12:
-        return EquivalenceResult(_isomorphic(ga, gb), "isomorphism")
-    same = (ga.n == gb.n and ga.m == gb.m
-            and sorted(len(s) for s in ga.adj) == sorted(len(s) for s in gb.adj))
+    if a.n <= 12 and b.n <= 12:
+        return EquivalenceResult(_isomorphic(a, b), "isomorphism")
+    same = (a.n == b.n and a.m == b.m
+            and sorted(row.bit_count() for row in a.rows)
+            == sorted(row.bit_count() for row in b.rows))
     return EquivalenceResult(same, "invariants")
 
 
 def to_dot(kg: KneserGraph) -> str:
     """DOT text: one node per matching labeled with its edge list, one
-    undirected edge per adjacency, nodes in enumeration order."""
+    undirected edge per adjacency, nodes in enumeration order and edges
+    (i, j), i < j, in lexicographic order."""
     lines = ["graph kneser {"]
     for i, mt in enumerate(kg.vertices):
         label = ",".join(f"{u}-{v}" for u, v in mt.endpoint_pairs(kg.base))
         lines.append(f'  {i} [label="{label}"];')
-    for u, v in kg.adjacency.edges:
-        lines.append(f"  {u} -- {v};")
+    for i, row in enumerate(kg.rows):
+        rest = row >> (i + 1) << (i + 1)  # each edge once, from its low end
+        while rest:
+            bit = rest & -rest
+            lines.append(f"  {i} -- {bit.bit_length() - 1};")
+            rest ^= bit
     lines.append("}")
     return "\n".join(lines) + "\n"

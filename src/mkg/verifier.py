@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .coloring import (BudgetExhausted, DEFAULT_BUDGET, chromatic_number,
                        validate_coloring)
 from .edge_coloring import is_snark
 from .extremal import ex_exact, validate_certificate
-from .graph_core import Graph, Graph6Error, is_connected, parse_graph6, write_graph6
+from .graph_core import (Graph, Graph6Error, is_connected, open_graph6,
+                         parse_graph6, write_graph6)
 from .kneser import build_matching_kneser
 
 VERDICT_HOLDS = "holds"
@@ -63,10 +62,6 @@ class ConjectureReport:
 class SelfCheckError(RuntimeError):
     """A certificate computed for a report failed its independent
     re-check; no verdict is given for that instance."""
-
-
-class ConfigError(ValueError):
-    """A bad environment setting, such as a non-numeric MKG_THREADS."""
 
 
 @dataclass
@@ -167,59 +162,35 @@ def resolve_r(g: Graph, r_policy):
     return r
 
 
-def _scan_worker(args):
-    lineno, text, r_policy, budget = args
-    try:
-        g = parse_graph6(text)
-    except Graph6Error as exc:
-        return ScanError(lineno, str(exc))
-    r = resolve_r(g, r_policy)
-    if r is None:
-        return skipped_report(g)
-    return verify_conjecture(g, r, budget=budget)
-
-
-def default_threads() -> int:
-    """MKG_THREADS when set (a positive integer), else the CPU count.
-    Raises ConfigError on any other value."""
-    env = os.environ.get("MKG_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise ConfigError(
-                f"MKG_THREADS must be a positive integer, got {env!r}")
-        return n
-    return os.cpu_count() or 1
-
-
-def scan_lines(lines, r_policy, budget: int = DEFAULT_BUDGET, threads=None):
+def scan_lines(lines, r_policy, budget: int = DEFAULT_BUDGET):
     """Reports for an iterable of graph6 lines, in input order.
 
     r_policy is an int (fixed r) or the string "half-order" (r = n/2,
     odd orders reported r-out-of-scope).  Blank lines are skipped.
-    Yields ConjectureReport and ScanError records; graphs are processed
-    concurrently (MKG_THREADS caps the pool) but emission order is the
-    input order.
+    Yields ConjectureReport and ScanError records, one per non-blank
+    line, pulling the next line only after the current record is
+    consumed, so the catalog is never held in memory whole.
     """
-    work = [(i, line.strip(), r_policy, budget)
-            for i, line in enumerate(lines, start=1) if line.strip()]
-    nthreads = threads if threads else default_threads()
-    if nthreads <= 1 or len(work) <= 1:
-        for item in work:
-            yield _scan_worker(item)
-        return
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        # map preserves input order, which is the reorder contract
-        yield from pool.map(_scan_worker, work)
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            g = parse_graph6(text)
+        except Graph6Error as exc:
+            yield ScanError(lineno, str(exc))
+            continue
+        r = resolve_r(g, r_policy)
+        if r is None:
+            yield skipped_report(g)
+        else:
+            yield verify_conjecture(g, r, budget=budget)
 
 
-def scan_catalog(path, r_policy, budget: int = DEFAULT_BUDGET, threads=None):
+def scan_catalog(path, r_policy, budget: int = DEFAULT_BUDGET):
     """scan_lines over a graph6 file."""
-    with open(path, "r", encoding="ascii") as fh:
-        yield from scan_lines(fh, r_policy, budget=budget, threads=threads)
+    with open_graph6(path) as fh:
+        yield from scan_lines(fh, r_policy, budget=budget)
 
 
 # ------------------------------------------------------------------ JSON --

@@ -63,12 +63,18 @@ def brute_matchings(g: Graph, r: int):
     return [c for c in combinations(range(g.m), r) if disjoint(c)]
 
 
-def brute_chromatic(g: Graph) -> int:
+def _rows_to_lists(g):
+    """Neighbor lists, ascending, from the adjacency bitmasks g.rows."""
+    return [[w for w in range(g.n) if row >> w & 1] for row in g.rows]
+
+
+def brute_chromatic(g) -> int:
     """Smallest k admitting a proper coloring, by plain recursion over
-    vertices in index order.  No ordering heuristics, no bounds."""
+    vertices in index order.  No ordering heuristics, no bounds.  g is a
+    Graph or a KneserGraph."""
     if g.n == 0:
         return 0
-    adj = [sorted(s) for s in g.adj]
+    adj = _rows_to_lists(g)
 
     def colorable(k: int) -> bool:
         col = [-1] * g.n
@@ -92,13 +98,14 @@ def brute_chromatic(g: Graph) -> int:
     return k
 
 
-def brute_colorable(g: Graph, k: int) -> bool:
-    """Exhaustive k-colorability, used to confirm non-(chi-1)-colorability."""
+def brute_colorable(g, k: int) -> bool:
+    """Exhaustive k-colorability, used to confirm non-(chi-1)-colorability.
+    g is a Graph or a KneserGraph."""
     if g.n == 0:
         return True
     if k == 0:
         return False
-    adj = [sorted(s) for s in g.adj]
+    adj = _rows_to_lists(g)
 
     def rec(i: int, col) -> bool:
         if i == g.n:

@@ -116,7 +116,7 @@ def test_criterion_3_theorem_side_sweep(capsys):
                            rep.chromatic_number)
             assert validate_coloring(kg, col)
             # independent optimality check: chi-1 colors cannot suffice
-            assert not brute_colorable(kg.adjacency, rep.chromatic_number - 1)
+            assert not brute_colorable(kg, rep.chromatic_number - 1)
         elapsed = time.monotonic() - t0
         assert elapsed < 600.0
         note["msg"] = (f"996 hosts x r in (2,3): 0 violations of "
@@ -185,7 +185,7 @@ def test_criterion_6_oracle_suites(capsys):
                 if kg.n > 12:
                     continue
                 chi, col = chromatic_number(kg)
-                assert chi == brute_chromatic(kg.adjacency), (write_graph6(g), r)
+                assert chi == brute_chromatic(kg), (write_graph6(g), r)
                 assert validate_coloring(kg, col)
                 chi_checked += 1
         assert chi_checked > 100  # the population is not accidentally empty

@@ -1,6 +1,5 @@
 import io
 import json
-from pathlib import Path
 
 import pytest
 
@@ -101,6 +100,14 @@ class TestCheck:
         _, err = capsys.readouterr()
         assert rc == 2 and "byte" in err
 
+    def test_non_ascii_file_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"D\xc3\xa9\n")
+        rc = main(["check", "-g", str(path), "-r", "2"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("mkg: non-ASCII character")
+
 
 class TestScan:
     def test_text_with_parse_error(self, g6file, capsys):
@@ -132,16 +139,13 @@ class TestScan:
         for line in lines[1:]:
             assert report_to_json(report_from_json(line)) == line
 
-    def test_bad_threads_env_is_usage_error(self, capsys, monkeypatch):
-        path = str(Path(__file__).resolve().parent.parent
-                   / "fixtures" / "petersen.g6")
-        for bad in ("abc", "0", "-2"):
-            monkeypatch.setenv("MKG_THREADS", bad)
-            rc = main(["scan", "-g", path, "-r", "5"])
-            out, err = capsys.readouterr()
-            assert rc == 2, bad
-            assert out == ""
-            assert err.startswith("mkg: MKG_THREADS must be a positive integer")
+    def test_non_ascii_file_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"D\xc3\xa9\n")
+        rc = main(["scan", "-g", str(path), "-r", "2"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and err == ""
+        assert out == "line 1: parse error: non-ASCII character (byte offset 1)\n"
 
     def test_scan_stdin(self, capsys, monkeypatch):
         text = "\n".join([write_graph6(generate("cycle(4)")),

@@ -15,7 +15,6 @@ from mkg import (
     validate_coloring,
 )
 from mkg.coloring import (
-    _adjacency_masks,
     _cover_bnb,
     _dsatur_bnb,
     _greedy_clique,
@@ -69,7 +68,7 @@ class TestAgainstBrute:
         for name, r in cases:
             kg = build_matching_kneser(generate(name), r)
             chi, col = chromatic_number(kg)
-            assert chi == brute_chromatic(kg.adjacency), (name, r)
+            assert chi == brute_chromatic(kg), (name, r)
             assert validate_coloring(kg, col)
 
 
@@ -83,7 +82,7 @@ class TestEnginesAgree:
             if g.m == 0:
                 continue
             checked += 1
-            masks = _adjacency_masks(g)
+            masks = g.rows
             clique = _greedy_clique(masks, n)
             cols0 = _greedy_dsatur(masks, n)
             ub = max(cols0) + 1
@@ -98,7 +97,7 @@ class TestEnginesAgree:
         rng = random.Random(555)
         g = random_graph(rng, 32, 0.6)
         chi, col = chromatic_number(g)  # routed to the cover engine
-        masks = _adjacency_masks(g)
+        masks = g.rows
         clique = _greedy_clique(masks, g.n)
         cols0 = _greedy_dsatur(masks, g.n)
         k, _, _ = _dsatur_bnb(masks, g.n, clique, len(clique),

@@ -25,6 +25,8 @@ class TestGraphClass:
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(1, 3)
         assert g.edge_index(2, 3) == 2
+        assert g.rows == (0b0110, 0b0001, 0b1001, 0b0100)
+        assert g.rows is g.rows  # built once, cached
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):

@@ -142,31 +142,27 @@ class TestScan:
         assert out[0].verdict == VERDICT_OUT_OF_SCOPE and out[0].r == 0
         assert out[1].r == 3
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        lines = [write_graph6(generate(f"cycle({n})")) for n in range(3, 11)]
-        serial = [report_to_json(rep) for rep in scan_lines(lines, 2,
-                                                            threads=1)]
-        monkeypatch.setenv("MKG_THREADS", "4")
-        threaded = [report_to_json(rep) for rep in scan_lines(lines, 2)]
-        assert serial == threaded
+    def test_streams_its_input(self):
+        pulled = []
 
-    def test_threads_env_must_be_positive_integer(self, monkeypatch):
-        from mkg.verifier import ConfigError, default_threads
-        monkeypatch.setenv("MKG_THREADS", "3")
-        assert default_threads() == 3
-        for bad in ("abc", "0", "-1", "2.5"):
-            monkeypatch.setenv("MKG_THREADS", bad)
-            with pytest.raises(ConfigError):
-                default_threads()
-        monkeypatch.setenv("MKG_THREADS", "")  # empty means unset
-        assert default_threads() >= 1
+        def lines():
+            for name in ("cycle(4)", "cycle(5)"):
+                pulled.append(name)
+                yield write_graph6(generate(name))
+
+        out = scan_lines(lines(), 2)
+        assert next(out).n == 4 and pulled == ["cycle(4)"]
+        assert next(out).n == 5 and pulled == ["cycle(4)", "cycle(5)"]
 
     def test_scan_catalog(self, tmp_path):
         path = tmp_path / "cat.g6"
-        path.write_text(write_graph6(generate("cycle(4)")) + "\n\n"
-                        + write_graph6(generate("cycle(5)")) + "\n")
+        path.write_bytes(write_graph6(generate("cycle(4)")).encode() + b"\n\n"
+                         + b"D\xc3\xa9\n"
+                         + write_graph6(generate("cycle(5)")).encode() + b"\n")
         out = list(scan_catalog(path, 2))
-        assert [rep.n for rep in out] == [4, 5]
+        assert [rep.n for rep in out if not isinstance(rep, ScanError)] == [4, 5]
+        assert isinstance(out[1], ScanError) and out[1].line == 3
+        assert out[1].error.startswith("non-ASCII character")
 
     def test_bad_fixed_r(self):
         with pytest.raises(ValueError):
