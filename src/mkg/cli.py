@@ -26,8 +26,13 @@ from .verifier import (ConjectureReport, ScanError,
 
 
 def _open_input(path: str):
-    """The graph6 input named by -g: a file, or stdin for "-"."""
+    """The graph6 input named by -g: a file, or stdin for "-".
+
+    stdin is decoded as open_graph6 decodes a file, whatever the locale
+    or PYTHONIOENCODING say, so a non-ASCII byte is a parse error.
+    """
     if path == "-":
+        sys.stdin.reconfigure(encoding="ascii", errors="surrogateescape")
         return contextlib.nullcontext(sys.stdin)
     return open_graph6(path)
 

@@ -31,6 +31,8 @@ _COVER_DENSITY_NUM = 11  # density threshold 11/20 = 0.55
 _COVER_DENSITY_DEN = 20
 _MIS_CAP = 100_000  # bail out to DSATUR if the MIS family explodes
 _MEMO_CAP = 1_500_000
+_CLIQUE_CAP = 8  # the lower-bound clique search looks no further
+_CLIQUE_NODES = 50_000
 
 
 @dataclass(frozen=True)
@@ -66,22 +68,17 @@ class _MisOverflow(Exception):
     pass
 
 
-def _greedy_clique(masks: list[int], n: int) -> list[int]:
-    verts = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
-    clique = []
+def _lower_bound_clique(masks: list[int], n: int) -> list[int]:
+    """A clique for the chi lower bound: the greedy one (vertices by
+    degree, highest first), then improved by a branch and bound that
+    stops once the best clique reaches _CLIQUE_CAP vertices or after
+    _CLIQUE_NODES nodes.  Stopping early only weakens the bound."""
+    best = []
     cand = (1 << n) - 1
-    for v in verts:
+    for v in sorted(range(n), key=lambda u: (-masks[u].bit_count(), u)):
         if (cand >> v) & 1:
-            clique.append(v)
+            best.append(v)
             cand &= masks[v]
-    return clique
-
-
-def _exact_clique_capped(masks: list[int], n: int, seed: list[int],
-                         cap: int = 8, node_cap: int = 50_000) -> list[int]:
-    """Best clique found by bounded branch and bound, never looking past
-    size cap.  Used purely as a lower bound, so stopping early is fine."""
-    best = list(seed)
     nodes = 0
 
     def rec(cur: list[int], cand: int) -> None:
@@ -89,12 +86,12 @@ def _exact_clique_capped(masks: list[int], n: int, seed: list[int],
         if len(cur) > len(best):
             best = list(cur)
         while cand:
-            if len(best) >= cap:
+            if len(best) >= _CLIQUE_CAP:
                 return
             if len(cur) + cand.bit_count() <= len(best):
                 return
             nodes += 1
-            if nodes > node_cap:
+            if nodes > _CLIQUE_NODES:
                 return
             bit = cand & -cand
             v = bit.bit_length() - 1
@@ -343,9 +340,7 @@ def chromatic_number(kg, budget: int = DEFAULT_BUDGET):
         return 0, Coloring((), 0)
     if m == 0:
         return 1, Coloring((0,) * n, 1)
-    clique = _greedy_clique(masks, n)
-    if len(clique) < 8:
-        clique = max(clique, _exact_clique_capped(masks, n, clique), key=len)
+    clique = _lower_bound_clique(masks, n)
     lb = len(clique)
     cols0 = _greedy_dsatur(masks, n)
     ub = max(cols0) + 1
@@ -377,7 +372,8 @@ def greedy_ex_coloring(g: Graph, r: int, extremal) -> Coloring:
     """
     if r < 1:
         raise ValueError("greedy_ex_coloring requires r >= 1")
-    witness = has_matching_of_size(g, r, allowed=extremal.edges)
+    witness = has_matching_of_size(
+        g, r, allowed=sum(1 << e for e in extremal.edges))
     if witness is not None:
         raise InvalidCertificateError(witness)
     ex_set = frozenset(extremal.edges)

@@ -110,7 +110,7 @@ def chromatic_index(g: Graph) -> EdgeColoringResult:
     """
     if g.m == 0:
         return EdgeColoringResult(0, (), "one")
-    delta = max(len(a) for a in g.adj)
+    delta = max(row.bit_count() for row in g.rows)
     col = _backtrack_edge_coloring(g, delta)
     if col is not None:
         return EdgeColoringResult(delta, tuple(col), "one")

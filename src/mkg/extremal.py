@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import Graph
+from .graph_core import Graph, bit_indices
 from .matchings import has_matching_of_size, matching_number
 
 
@@ -35,7 +35,7 @@ def star_removal_bound(g: Graph, r: int) -> ExtremalCertificate | None:
     """
     if g.n != 2 * r:
         return None
-    v = min(range(g.n), key=lambda u: (len(g.adj[u]), u))
+    v = min(range(g.n), key=lambda u: (g.degree(u), u))
     keep = frozenset(i for i, (a, b) in enumerate(g.edges) if v not in (a, b))
     return ExtremalCertificate(keep, len(keep), r)
 
@@ -48,15 +48,6 @@ def _greedy_seed(g: Graph, r: int) -> int:
         if has_matching_of_size(g, r, allowed=cand) is None:
             kept = cand
     return kept
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask ^= bit
-    return frozenset(out)
 
 
 def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
@@ -93,7 +84,7 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
         rec(i + 1, kept_mask, kept_count)
 
     rec(0, 0, 0)
-    return ExtremalCertificate(_mask_to_set(best_mask), best_value, r)
+    return ExtremalCertificate(frozenset(bit_indices(best_mask)), best_value, r)
 
 
 def validate_certificate(g: Graph, cert: ExtremalCertificate) -> bool:

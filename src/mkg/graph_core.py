@@ -13,7 +13,7 @@ inputs are desk-scale catalogs of small graphs.
 from __future__ import annotations
 
 import re
-from collections import deque
+from bisect import bisect_left
 
 
 class Graph6Error(ValueError):
@@ -24,6 +24,16 @@ class Graph6Error(ValueError):
         self.byte_offset = byte_offset
 
 
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Graph:
     """Immutable simple graph with canonical (sorted) edge indexing.
 
@@ -32,15 +42,15 @@ class Graph:
         edges: sorted tuple of (u, v) pairs with u < v; index into this
             tuple is the canonical edge index.
         m: number of edges.
-        adj: tuple of frozensets, adj[v] = neighbors of v.
-        rows: adjacency bitmasks, bit w of rows[v] set iff {v, w} is an
-            edge; built on first use.
+        rows: the adjacency, one bitmask per vertex: bit w of rows[v] is
+            set iff {v, w} is an edge.  Built with the graph; it is the
+            only adjacency form, and a KneserGraph holds the same one.
 
     The null graph (n=0) is legal and counts as connected.
     """
 
-    __slots__ = ("n", "edges", "m", "adj", "_eindex", "_evmask", "_rows",
-                 "_hash", "__weakref__")
+    __slots__ = ("n", "edges", "m", "rows", "_evmask", "_hash",
+                 "__weakref__")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -53,31 +63,32 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             canon.append((u, v) if u < v else (v, u))
         canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a}")
+        rows = [0] * n
+        for u, v in canon:
+            if rows[u] >> v & 1:
+                raise ValueError(f"duplicate edge {(u, v)}")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         self.n = n
         self.edges = tuple(canon)
         self.m = len(canon)
-        adj = [set() for _ in range(n)]
-        for u, v in canon:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adj = tuple(frozenset(s) for s in adj)
-        self._eindex = {e: i for i, e in enumerate(canon)}
+        self.rows = tuple(rows)
         self._evmask = None
-        self._rows = None
         self._hash = hash((n, self.edges))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.rows[v].bit_count()
 
     def edge_index(self, u: int, v: int) -> int:
         """Canonical index of edge {u,v}; KeyError if absent."""
-        return self._eindex[(u, v) if u < v else (v, u)]
+        e = (u, v) if u < v else (v, u)
+        i = bisect_left(self.edges, e)
+        if i == self.m or self.edges[i] != e:
+            raise KeyError(e)
+        return i
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u] if 0 <= u < self.n else False
+        return 0 <= u < self.n and v >= 0 and bool(self.rows[u] >> v & 1)
 
     @property
     def edge_vertex_masks(self) -> tuple[int, ...]:
@@ -89,21 +100,6 @@ class Graph:
         if self._evmask is None:
             self._evmask = tuple((1 << u) | (1 << v) for u, v in self.edges)
         return self._evmask
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        """Per-vertex adjacency bitmask, the form a KneserGraph also holds,
-        so the coloring engines and the isomorphism check read either.
-
-        Computed once on first use.
-        """
-        if self._rows is None:
-            rows = [0] * self.n
-            for u, v in self.edges:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            self._rows = tuple(rows)
-        return self._rows
 
     def __eq__(self, other):
         return (isinstance(other, Graph)
@@ -180,12 +176,11 @@ def write_graph6(g: Graph) -> str:
     if g.n > 62:
         raise ValueError("graph6 short form requires n <= 62")
     out = bytearray([g.n + 63])
-    eset = set(g.edges)
     acc = 0
     nb = 0
     for v in range(1, g.n):
         for u in range(v):
-            acc = (acc << 1) | ((u, v) in eset)
+            acc = (acc << 1) | (g.rows[v] >> u & 1)
             nb += 1
             if nb == 6:
                 out.append(acc + 63)
@@ -291,22 +286,18 @@ def generate(name: str) -> Graph:
 # ------------------------------------------------------------- predicates --
 
 def is_connected(g: Graph) -> bool:
-    """BFS reachability from vertex 0; null and one-vertex graphs count
-    as connected."""
+    """Breadth-first reachability from vertex 0, one bitmask frontier at
+    a time; null and one-vertex graphs count as connected."""
     if g.n <= 1:
         return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count == g.n
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for v in bit_indices(frontier):
+            reach |= g.rows[v]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
 
 
 def bridges(g: Graph) -> list[int]:
@@ -324,7 +315,7 @@ def bridges(g: Graph) -> list[int]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, -1, iter(sorted(g.adj[root])))]
+        stack = [(root, -1, iter(bit_indices(g.rows[root])))]
         while stack:
             v, parent, it = stack[-1]
             w = next(it, None)
@@ -341,7 +332,7 @@ def bridges(g: Graph) -> list[int]:
             if disc[w] == -1:
                 disc[w] = low[w] = timer
                 timer += 1
-                stack.append((w, v, iter(sorted(g.adj[w]))))
+                stack.append((w, v, iter(bit_indices(g.rows[w]))))
             else:
                 low[v] = min(low[v], disc[w])
     out.sort()
@@ -350,4 +341,4 @@ def bridges(g: Graph) -> list[int]:
 
 def is_cubic(g: Graph) -> bool:
     """True iff every vertex has degree exactly 3 (vacuously true for n=0)."""
-    return all(len(a) == 3 for a in g.adj)
+    return all(row.bit_count() == 3 for row in g.rows)

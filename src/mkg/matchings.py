@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph_core import Graph
+from .graph_core import Graph, bit_indices
 
 
 @dataclass(frozen=True)
@@ -35,87 +35,55 @@ class Matching:
         return tuple(g.edges[e] for e in self.edges)
 
 
-def enumerate_matchings(g: Graph, r: int) -> list[Matching]:
-    """All matchings of size exactly r, in lexicographic order.
+def _search(g: Graph, r: int, idxs, first: bool) -> list[Matching]:
+    """The r-matchings among the edges idxs (ascending), in lexicographic
+    order, or only the first of them when first is set.
 
-    Backtracks over edges in index order, keeping a covered-vertex mask,
-    and prunes a branch as soon as the remaining edges cannot reach size
-    r.  r=0 yields exactly one empty matching.
+    Backtracks over idxs keeping a covered-vertex mask; the loop bound
+    stops each branch as soon as too few edges are left to reach size r.
+    r=0 gives exactly one empty matching.
     """
     if r < 0:
         raise ValueError("matching size must be >= 0")
-    if r == 0:
-        return [Matching(())]
     evmask = g.edge_vertex_masks
-    m = g.m
+    k = len(idxs)
     out: list[Matching] = []
     cur: list[int] = []
 
-    def rec(start: int, covered: int) -> None:
-        need = r - len(cur)
+    def rec(start: int, covered: int, need: int) -> bool:
         if need == 0:
             out.append(Matching(tuple(cur)))
-            return
-        for i in range(start, m):
-            if m - i < need:  # remaining edges cannot reach size r
-                break
-            if covered & evmask[i]:
+            return first
+        for pos in range(start, k - need + 1):
+            e = idxs[pos]
+            if covered & evmask[e]:
                 continue
-            cur.append(i)
-            rec(i + 1, covered | evmask[i])
+            cur.append(e)
+            if rec(pos + 1, covered | evmask[e], need - 1):
+                return True
             cur.pop()
+        return False
 
-    rec(0, 0)
+    rec(0, 0, r)
     return out
+
+
+def enumerate_matchings(g: Graph, r: int) -> list[Matching]:
+    """All matchings of size exactly r, in lexicographic order; r=0
+    yields exactly one empty matching."""
+    return _search(g, r, list(range(g.m)), first=False)
 
 
 def has_matching_of_size(g: Graph, r: int, allowed=None):
     """First r-matching of g using only allowed edges, or None.
 
-    allowed may be None (all edges), an int bitmask over edge indices, or
-    an iterable of edge indices.  Same backtracking as enumeration but
-    with early exit on the first hit; this is the check the extremal
-    branch-and-bound leans on.
+    allowed is None (all edges) or an int bitmask over edge indices.  The
+    enumeration's backtracking with early exit on the first hit; this is
+    the check the extremal branch and bound leans on.
     """
-    if r < 0:
-        raise ValueError("matching size must be >= 0")
-    if r == 0:
-        return Matching(())
-    if allowed is None:
-        idxs = list(range(g.m))
-    elif isinstance(allowed, int):
-        idxs = []
-        rest = allowed
-        while rest:
-            bit = rest & -rest
-            idxs.append(bit.bit_length() - 1)
-            rest ^= bit
-    else:
-        idxs = sorted(allowed)
-    k = len(idxs)
-    if k < r:
-        return None
-    evmask = g.edge_vertex_masks
-    cur: list[int] = []
-
-    def rec(start: int, covered: int):
-        need = r - len(cur)
-        if need == 0:
-            return Matching(tuple(cur))
-        for pos in range(start, k):
-            if k - pos < need:
-                break
-            e = idxs[pos]
-            if covered & evmask[e]:
-                continue
-            cur.append(e)
-            found = rec(pos + 1, covered | evmask[e])
-            if found is not None:
-                return found
-            cur.pop()
-        return None
-
-    return rec(0, 0)
+    idxs = list(range(g.m)) if allowed is None else bit_indices(allowed)
+    found = _search(g, r, idxs, first=True)
+    return found[0] if found else None
 
 
 def matching_number(g: Graph) -> int:
@@ -128,7 +96,7 @@ def matching_number(g: Graph) -> int:
     n = g.n
     if n == 0 or g.m == 0:
         return 0
-    adj = [sorted(g.adj[v]) for v in range(n)]
+    adj = [bit_indices(row) for row in g.rows]
     match = [-1] * n
 
     # cheap greedy start cuts the number of augmenting phases

@@ -149,7 +149,7 @@ def reachability_connected(g: Graph) -> bool:
     """Connectivity via a brute transitive-closure matrix."""
     if g.n <= 1:
         return True
-    reach = [[u == v or v in g.adj[u] for v in range(g.n)]
+    reach = [[u == v or bool(g.rows[u] >> v & 1) for v in range(g.n)]
              for u in range(g.n)]
     for k in range(g.n):
         for i in range(g.n):

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mkg
 from mkg import build_matching_kneser, generate, to_dot, write_graph6
 from mkg.cli import main
 from mkg.verifier import report_from_json, report_to_json
@@ -16,6 +21,10 @@ def g6file(tmp_path):
         path.write_text("\n".join(lines) + "\n")
         return str(path)
     return make
+
+
+def _stdin_bytes(monkeypatch, data: bytes):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
 
 
 class TestCheck:
@@ -51,8 +60,7 @@ class TestCheck:
         assert "verdict: r-out-of-scope" in out
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin",
-                            io.StringIO(write_graph6(generate("cycle(5)"))))
+        _stdin_bytes(monkeypatch, write_graph6(generate("cycle(5)")).encode())
         rc = main(["check", "-g", "-", "-r", "2"])
         out, _ = capsys.readouterr()
         assert rc == 0 and "verdict: holds" in out
@@ -150,7 +158,7 @@ class TestScan:
     def test_scan_stdin(self, capsys, monkeypatch):
         text = "\n".join([write_graph6(generate("cycle(4)")),
                           write_graph6(generate("cycle(6)"))])
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        _stdin_bytes(monkeypatch, text.encode())
         rc = main(["scan", "-g", "-", "-r", "2"])
         out, _ = capsys.readouterr()
         assert rc == 0
@@ -201,3 +209,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as ei:
             main(["ex", "-g", g6file(generate("cycle(5)")), "-r", "0"])
         assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("command, out, err", [
+    ("scan", "line 1: parse error: non-ASCII character (byte offset 1)\n",
+     ""),
+    ("check", "", "mkg: non-ASCII character (byte offset 1)\n"),
+], ids=["scan", "check"])
+def test_non_ascii_stdin_is_parse_error(command, out, err):
+    # a strict UTF-8 stdin must not turn a bad byte into a traceback
+    src = str(Path(mkg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mkg", command, "-g", "-", "-r", "2"],
+        input=b"D\xff\n", capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+        2, out, err)

@@ -17,8 +17,8 @@ from mkg import (
 from mkg.coloring import (
     _cover_bnb,
     _dsatur_bnb,
-    _greedy_clique,
     _greedy_dsatur,
+    _lower_bound_clique,
 )
 from mkg.extremal import ExtremalCertificate, ex_exact
 
@@ -83,7 +83,7 @@ class TestEnginesAgree:
                 continue
             checked += 1
             masks = g.rows
-            clique = _greedy_clique(masks, n)
+            clique = _lower_bound_clique(masks, n)
             cols0 = _greedy_dsatur(masks, n)
             ub = max(cols0) + 1
             lb = len(clique)
@@ -98,7 +98,7 @@ class TestEnginesAgree:
         g = random_graph(rng, 32, 0.6)
         chi, col = chromatic_number(g)  # routed to the cover engine
         masks = g.rows
-        clique = _greedy_clique(masks, g.n)
+        clique = _lower_bound_clique(masks, g.n)
         cols0 = _greedy_dsatur(masks, g.n)
         k, _, _ = _dsatur_bnb(masks, g.n, clique, len(clique),
                               max(cols0) + 1, cols0, 10**8)

@@ -24,9 +24,13 @@ class TestGraphClass:
         assert g.degree(0) == 2 and g.degree(3) == 1
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(1, 3)
-        assert g.edge_index(2, 3) == 2
+        assert not any(g.has_edge(u, v) for u, v in ((0, 4), (4, 0), (0, -1),
+                                                      (-1, 0)))
+        assert g.edge_index(2, 3) == 2 and g.edge_index(1, 0) == 0
+        for u, v in ((1, 3), (3, 3), (0, 0)):
+            with pytest.raises(KeyError):
+                g.edge_index(u, v)
         assert g.rows == (0b0110, 0b0001, 0b1001, 0b0100)
-        assert g.rows is g.rows  # built once, cached
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):

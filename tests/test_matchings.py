@@ -109,18 +109,23 @@ class TestHasMatching:
     def test_allowed_subsets(self):
         g = generate("cycle(5)")
         # edges (0,1),(0,4),(1,2),(2,3),(3,4)
-        assert has_matching_of_size(g, 2, allowed=[0, 1]) is None
-        assert has_matching_of_size(g, 2, allowed=[0, 3]) is not None
         assert has_matching_of_size(g, 2, allowed=0b01001) is not None
         assert has_matching_of_size(g, 2, allowed=0b00011) is None
 
     def test_agrees_with_enumeration(self):
+        # the witness is the first enumerated r-matching inside allowed
         rng = random.Random(303)
+        mask_rng = random.Random(304)
         for _ in range(80):
             g = random_graph(rng, rng.randrange(1, 9), rng.random())
             for r in (1, 2, 3):
-                found = has_matching_of_size(g, r)
-                assert (found is not None) == bool(enumerate_matchings(g, r))
+                every = enumerate_matchings(g, r)
+                for allowed in [None] + [mask_rng.getrandbits(g.m)
+                                         for _ in range(4)]:
+                    inside = [mt for mt in every if allowed is None
+                              or mt.edge_mask() & ~allowed == 0]
+                    assert (has_matching_of_size(g, r, allowed=allowed)
+                            == (inside[0] if inside else None))
 
 
 class TestPerfectMatchings:

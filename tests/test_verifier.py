@@ -1,9 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from helpers import load_fixture, random_graph
+from helpers import FIXTURES, load_fixture, random_graph
 from mkg import (
     ConjectureReport,
     ScanError,
@@ -248,3 +249,46 @@ def test_counterexample_certificates_revalidate():
     col = Coloring(tuple(rep.certificates["coloring"]), rep.chromatic_number)
     assert validate_coloring(kg, col)
     assert chromatic_number(kg)[0] == rep.chromatic_number
+
+
+# sha256 of the report_to_json lines of _golden_reports, one per line.
+# Any change to a report byte on this corpus changes it, so a refactor
+# must keep it; change it only with an intended change of report content.
+GOLDEN_SHA256 = ("0538d52ac25cfa2b74789c0b6bf0e22b"
+                 "6dd8362a96d4baf878ec93670e7638bc")
+
+
+def _golden_reports():
+    """The 120 reports of a corpus that runs in a few seconds:
+    snark and cubic bridgeless hosts at half-order, every 20th host of
+    connected_n7.g6 at r = 2 and r = 3, and KG(K6, 2K2), which the cover
+    engine solves with the default budget and leaves undecided with 50
+    nodes.  flower_j5 is left out: its ex search alone takes seconds."""
+    for name in ("petersen.g6", "blanusa_1.g6", "blanusa_2.g6",
+                 "cubic_bridgeless_n14.g6"):
+        yield from scan_catalog(FIXTURES / name, "half-order")
+    hosts = (FIXTURES / "connected_n7.g6").read_text().splitlines()[::20]
+    for r in (2, 3):
+        yield from scan_lines(hosts, r)
+    k6 = generate("complete(6)")
+    yield verify_conjecture(k6, 2)
+    yield verify_conjecture(k6, 2, budget=50)
+
+
+def test_golden_report_bytes(monkeypatch):
+    import mkg.coloring as coloring
+
+    cover_runs = []
+    cover_bnb = coloring._cover_bnb
+
+    def spy(*args):
+        cover_runs.append(args[1])
+        return cover_bnb(*args)
+
+    monkeypatch.setattr(coloring, "_cover_bnb", spy)
+    reports = list(_golden_reports())
+    assert [rep.verdict for rep in reports[-2:]] == [VERDICT_HOLDS,
+                                                     VERDICT_UNDECIDED]
+    assert cover_runs.count(45) >= 2  # KG(K6, 2K2) has 45 vertices
+    text = "".join(report_to_json(rep) + "\n" for rep in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256

@@ -29,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mkg import (Graph, bridges, complete, is_connected, is_cubic, is_snark,
                  petersen, write_graph6)
+from mkg.graph_core import bit_indices
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -90,8 +91,8 @@ def dot_products():
         c, d = p.edges[e2]
         for u, v in p.edges:
             for (uu, vv) in ((u, v), (v, u)):
-                xs = sorted(set(p.adj[uu]) - {vv})
-                ys = sorted(set(p.adj[vv]) - {uu})
+                xs = bit_indices(p.rows[uu] & ~(1 << vv))
+                ys = bit_indices(p.rows[vv] & ~(1 << uu))
                 for x1, x2 in ((xs[0], xs[1]), (xs[1], xs[0])):
                     for y1, y2 in ((ys[0], ys[1]), (ys[1], ys[0])):
                         yield _assemble(p, (a, b), (c, d), (uu, vv),
