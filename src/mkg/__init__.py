@@ -9,9 +9,9 @@ from .graph_core import (Graph, Graph6Error, bridges, complete, cycle,
                          disjoint_matching, generate, is_connected, is_cubic,
                          parse_graph6, petersen, read_graph6_file, star,
                          write_graph6)
-from .matchings import (Matching, enumerate_matchings,
-                        enumerate_perfect_matchings, has_matching_of_size,
-                        matching_number, perfect_matchings_pairwise_intersect,
+from .matchings import (enumerate_matchings, enumerate_perfect_matchings,
+                        has_matching_of_size, matching_number,
+                        perfect_matchings_pairwise_intersect,
                         schonberger_check)
 from .edge_coloring import EdgeColoringResult, chromatic_index, is_snark
 from .kneser import (EquivalenceResult, KneserGraph, build_kneser,
@@ -31,7 +31,7 @@ __all__ = [
     "Graph", "Graph6Error", "parse_graph6", "write_graph6",
     "read_graph6_file", "generate", "petersen", "cycle", "complete", "star",
     "disjoint_matching", "is_connected", "bridges", "is_cubic",
-    "Matching", "enumerate_matchings", "enumerate_perfect_matchings",
+    "enumerate_matchings", "enumerate_perfect_matchings",
     "has_matching_of_size", "matching_number", "schonberger_check",
     "perfect_matchings_pairwise_intersect",
     "EdgeColoringResult", "chromatic_index", "is_snark",

@@ -32,6 +32,8 @@ def _open_input(path: str):
     or PYTHONIOENCODING say, so a non-ASCII byte is a parse error.
     """
     if path == "-":
+        if sys.stdin is None:  # fd 0 was closed at startup
+            raise OSError("stdin is closed")
         sys.stdin.reconfigure(encoding="ascii", errors="surrogateescape")
         return contextlib.nullcontext(sys.stdin)
     return open_graph6(path)

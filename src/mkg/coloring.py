@@ -60,7 +60,7 @@ class InvalidCertificateError(ValueError):
 
     def __init__(self, matching):
         super().__init__(
-            f"extremal certificate contains the r-matching {matching.edges}")
+            f"extremal certificate contains the r-matching {matching}")
         self.matching = matching
 
 
@@ -379,7 +379,7 @@ def greedy_ex_coloring(g: Graph, r: int, extremal) -> Coloring:
     ex_set = frozenset(extremal.edges)
     raw = []
     for mt in enumerate_matchings(g, r):
-        raw.append(next(e for e in mt.edges if e not in ex_set))
+        raw.append(next(e for e in mt if e not in ex_set))
     remap = {e: c for c, e in enumerate(sorted(set(raw)))}
     return Coloring(tuple(remap[e] for e in raw), len(remap))
 

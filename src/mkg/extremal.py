@@ -40,23 +40,14 @@ def star_removal_bound(g: Graph, r: int) -> ExtremalCertificate | None:
     return ExtremalCertificate(keep, len(keep), r)
 
 
-def _greedy_seed(g: Graph, r: int) -> int:
-    """Maximal nu <= r-1 edge set grown in index order; returns a bitmask."""
-    kept = 0
-    for i in range(g.m):
-        cand = kept | (1 << i)
-        if has_matching_of_size(g, r, allowed=cand) is None:
-            kept = cand
-    return kept
-
-
 def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
     """Exact ex(g, rK2) with a witnessing certificate.
 
-    Seeded with star_removal_bound when n = 2r, otherwise with the greedy
-    maximal set; the branch and bound then only chases strict
-    improvements, so when the seed is already optimal it is returned
-    unchanged.  Ties go to the first optimum in search order.
+    Seeded with star_removal_bound when n = 2r, otherwise unseeded; the
+    branch and bound only chases strict improvements, so when the seed is
+    already optimal it is returned unchanged.  Ties go to the first
+    optimum in search order; unseeded, that is the optimum whose keep
+    indicator vector (edge 0 first) is lexicographically greatest.
     """
     if r < 1:
         raise ValueError("ex_exact requires r >= 1")
@@ -66,8 +57,7 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
         best_value = seed.value
         best_mask = sum(1 << e for e in seed.edges)
     else:
-        best_mask = _greedy_seed(g, r)
-        best_value = best_mask.bit_count()
+        best_value, best_mask = -1, 0
 
     def rec(i: int, kept_mask: int, kept_count: int) -> None:
         nonlocal best_value, best_mask

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph_core import Graph, disjoint_matching
-from .matchings import Matching, enumerate_matchings
+from .matchings import enumerate_matchings
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,8 @@ class KneserGraph:
 
     base: the host graph G.
     r: the matching size.
-    vertices: the r-matchings, in lexicographic order; vertex i of the
-        derived graph is vertices[i].
+    vertices: the r-matchings as sorted tuples of host edge indices, in
+        lexicographic order; vertex i of the derived graph is vertices[i].
     rows: rows[i] has bit j set iff vertices i and j are adjacent; no
         vertex is adjacent to itself.  Graph.rows has the same form, so
         code that reads only n, m and rows takes either.
@@ -32,7 +32,7 @@ class KneserGraph:
 
     base: Graph
     r: int
-    vertices: tuple[Matching, ...]
+    vertices: tuple[tuple[int, ...], ...]
     rows: tuple[int, ...]
     m: int
 
@@ -61,13 +61,13 @@ def build_matching_kneser(g: Graph, r: int) -> KneserGraph:
     contains = [0] * g.m
     for i, mt in enumerate(verts):
         bit = 1 << i
-        for e in mt.edges:
+        for e in mt:
             contains[e] |= bit
     full = (1 << len(verts)) - 1
     rows = []
     for mt in verts:
         meets = 0
-        for e in mt.edges:
+        for e in mt:
             meets |= contains[e]
         rows.append(full & ~meets)
     return _from_rows(g, r, verts, rows)
@@ -96,7 +96,7 @@ def build_kneser(n: int, r: int) -> KneserGraph:
             if mi & masks[j] == 0:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return _from_rows(base, r, (Matching(s) for s in subs), rows)
+    return _from_rows(base, r, subs, rows)
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,8 @@ def to_dot(kg: KneserGraph) -> str:
     (i, j), i < j, in lexicographic order."""
     lines = ["graph kneser {"]
     for i, mt in enumerate(kg.vertices):
-        label = ",".join(f"{u}-{v}" for u, v in mt.endpoint_pairs(kg.base))
+        pairs = (kg.base.edges[e] for e in mt)
+        label = ",".join(f"{u}-{v}" for u, v in pairs)
         lines.append(f'  {i} [label="{label}"];')
     for i, row in enumerate(kg.rows):
         rest = row >> (i + 1) << (i + 1)  # each edge once, from its low end

@@ -9,33 +9,11 @@ inherits its vertex numbering from this order, so it must never change.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .graph_core import Graph, bit_indices
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A matching given by its sorted tuple of edge indices."""
-
-    edges: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    def edge_mask(self) -> int:
-        """Bitmask over edge indices; used for disjointness tests."""
-        mask = 0
-        for e in self.edges:
-            mask |= 1 << e
-        return mask
-
-    def endpoint_pairs(self, g: Graph) -> tuple[tuple[int, int], ...]:
-        return tuple(g.edges[e] for e in self.edges)
-
-
-def _search(g: Graph, r: int, idxs, first: bool) -> list[Matching]:
+def _search(g: Graph, r: int, idxs, first: bool) -> list[tuple[int, ...]]:
     """The r-matchings among the edges idxs (ascending), in lexicographic
     order, or only the first of them when first is set.
 
@@ -47,12 +25,12 @@ def _search(g: Graph, r: int, idxs, first: bool) -> list[Matching]:
         raise ValueError("matching size must be >= 0")
     evmask = g.edge_vertex_masks
     k = len(idxs)
-    out: list[Matching] = []
+    out: list[tuple[int, ...]] = []
     cur: list[int] = []
 
     def rec(start: int, covered: int, need: int) -> bool:
         if need == 0:
-            out.append(Matching(tuple(cur)))
+            out.append(tuple(cur))
             return first
         for pos in range(start, k - need + 1):
             e = idxs[pos]
@@ -68,9 +46,9 @@ def _search(g: Graph, r: int, idxs, first: bool) -> list[Matching]:
     return out
 
 
-def enumerate_matchings(g: Graph, r: int) -> list[Matching]:
+def enumerate_matchings(g: Graph, r: int) -> list[tuple[int, ...]]:
     """All matchings of size exactly r, in lexicographic order; r=0
-    yields exactly one empty matching."""
+    yields exactly one empty matching, ()."""
     return _search(g, r, list(range(g.m)), first=False)
 
 
@@ -178,7 +156,7 @@ def matching_number(g: Graph) -> int:
     return sum(1 for v in range(n) if match[v] != -1) // 2
 
 
-def enumerate_perfect_matchings(g: Graph) -> list[Matching]:
+def enumerate_perfect_matchings(g: Graph) -> list[tuple[int, ...]]:
     """All perfect matchings; empty for odd order."""
     if g.n % 2 == 1:
         return []
@@ -194,7 +172,8 @@ def schonberger_check(g: Graph):
     """
     if g.m < 2:
         raise ValueError("schonberger_check needs at least two edges")
-    pm_masks = [pm.edge_mask() for pm in enumerate_perfect_matchings(g)]
+    pm_masks = [sum(1 << e for e in pm)
+                for pm in enumerate_perfect_matchings(g)]
     for e in range(g.m):
         for f in range(e + 1, g.m):
             banned = (1 << e) | (1 << f)
@@ -209,7 +188,7 @@ def perfect_matchings_pairwise_intersect(g: Graph) -> bool:
     Vacuously true with at most one perfect matching.  For a snark of
     order 2r this is the mechanism that leaves KG(G, rK2) edgeless.
     """
-    masks = [pm.edge_mask() for pm in enumerate_perfect_matchings(g)]
+    masks = [sum(1 << e for e in pm) for pm in enumerate_perfect_matchings(g)]
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             if masks[i] & masks[j] == 0:

@@ -115,7 +115,7 @@ def verify_conjecture(g: Graph, r: int, budget: int = DEFAULT_BUDGET,
     if kg.n > 0 and kg.m == 0:
         # re-derive edgelessness straight from the matchings: every pair
         # of r-matchings must share an edge
-        masks = [mt.edge_mask() for mt in kg.vertices]
+        masks = [sum(1 << e for e in mt) for mt in kg.vertices]
         certs["pairwise_intersect"] = all(
             masks[i] & masks[j]
             for i in range(len(masks)) for j in range(i + 1, len(masks)))

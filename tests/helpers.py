@@ -121,9 +121,9 @@ def brute_colorable(g, k: int) -> bool:
     return rec(0, [-1] * g.n)
 
 
-def brute_ex_multi(g: Graph, rs) -> dict:
-    """ex(g, rK2) for each r in rs, over all 2^m edge subsets via a
-    subset nu DP (m <= ~16).  One DP serves every r."""
+def _nu_table(g: Graph) -> list:
+    """nu of every edge subset of g, indexed by the subset's bitmask,
+    by a subset DP (m <= ~16)."""
     m = g.m
     conflict = [0] * m
     for i, (u, v) in enumerate(g.edges):
@@ -135,10 +135,26 @@ def brute_ex_multi(g: Graph, rs) -> dict:
         bit = s & -s
         e = bit.bit_length() - 1
         nu[s] = max(nu[s ^ bit], 1 + nu[s & ~conflict[e]])
+    return nu
+
+
+def brute_ex_multi(g: Graph, rs) -> dict:
+    """ex(g, rK2) for each r in rs, over all 2^m edge subsets.  One nu
+    table serves every r."""
+    nu = _nu_table(g)
     out = {}
     for r in rs:
-        out[r] = max(s.bit_count() for s in range(1 << m) if nu[s] <= r - 1)
+        out[r] = max(s.bit_count() for s in range(1 << g.m) if nu[s] <= r - 1)
     return out
+
+
+def brute_ex_keep_first(g: Graph, r: int) -> frozenset:
+    """Of the largest nu <= r-1 edge sets, the one whose indicator vector
+    (edge 0 first) is lexicographically greatest."""
+    nu = _nu_table(g)
+    best = max((s for s in range(1 << g.m) if nu[s] <= r - 1),
+               key=lambda s: (s.bit_count(), [s >> e & 1 for e in range(g.m)]))
+    return frozenset(e for e in range(g.m) if best >> e & 1)
 
 
 def brute_ex(g: Graph, r: int) -> int:

@@ -226,3 +226,16 @@ def test_non_ascii_stdin_is_parse_error(command, out, err):
         input=b"D\xff\n", capture_output=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
         2, out, err)
+
+
+@pytest.mark.parametrize("command", ["scan", "check"])
+def test_closed_stdin_is_input_error(command):
+    # with fd 0 closed Python sets sys.stdin to None
+    src = str(Path(mkg.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        ["sh", "-c", f'"$0" -m mkg {command} -g - -r 2 <&-', sys.executable],
+        capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+        2, "", "mkg: stdin is closed\n")

@@ -150,9 +150,9 @@ class TestGreedyExColoring:
         with pytest.raises(InvalidCertificateError) as ei:
             greedy_ex_coloring(g, 2, bogus)
         w = ei.value.matching
-        assert w.size == 2
-        u1, v1 = g.edges[w.edges[0]]
-        u2, v2 = g.edges[w.edges[1]]
+        assert len(w) == 2
+        u1, v1 = g.edges[w[0]]
+        u2, v2 = g.edges[w[1]]
         assert not {u1, v1} & {u2, v2}
 
     def test_rejects_r_zero(self):

@@ -1,10 +1,17 @@
+import hashlib
 import random
 from itertools import combinations
 
-from helpers import brute_chromatic, load_fixture, random_graph
+from helpers import FIXTURES, brute_chromatic, load_fixture, random_graph
 from mkg import Graph, generate
 from mkg.edge_coloring import chromatic_index, is_snark
 from mkg.matchings import enumerate_perfect_matchings
+
+# sha256 of repr(chromatic_index(g)), one per line, over every fixture
+# graph in file-name order; change it only with an intended change of
+# witness coloring
+GOLDEN_SHA256 = ("9dbfec45b48e6cc437be80e7476c3cf8"
+                 "49ecaf82e45101b5c5ceb7ce792320cb")
 
 
 def line_graph(g: Graph) -> Graph:
@@ -67,7 +74,8 @@ class TestChromaticIndex:
         for g in load_fixture("cubic_bridgeless_n14.g6"):
             if g.n > 12:
                 continue
-            masks = [pm.edge_mask() for pm in enumerate_perfect_matchings(g)]
+            masks = [sum(1 << e for e in pm)
+                     for pm in enumerate_perfect_matchings(g)]
             full = (1 << g.m) - 1
             has_partition = any(
                 a | b | c == full
@@ -87,6 +95,18 @@ class TestChromaticIndex:
             res = chromatic_index(g)
             assert res.chromatic_index == 4
             assert_proper(g, res)
+
+    def test_golden_witnesses(self):
+        # report bytes carry only the snark flag, so this pins the witness
+        # colorings themselves: repr of every result on every fixture graph
+        results = [chromatic_index(g)
+                   for path in sorted(FIXTURES.glob("*.g6"))
+                   for g in load_fixture(path.name)]
+        assert len(results) == 1015
+        assert sum(res.vizing_class == "two" for res in results) == 45
+        text = "".join(repr(res) + "\n" for res in results)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
+
 
 
 BRIDGED_CUBIC = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import brute_ex, load_fixture, random_graph
+from helpers import brute_ex, brute_ex_keep_first, load_fixture, random_graph
 from mkg import (
     ExtremalCertificate,
     ex_exact,
@@ -103,8 +103,27 @@ class TestExExact:
         a = ex_exact(g, 2)
         b = ex_exact(g, 2)
         assert a == b
-        # greedy seed {0,1} is already optimal for C5, r=2
+        # the first leaf, {0,1}, is already optimal for C5, r=2
         assert a.edges == frozenset({0, 1})
+
+    def test_ties_go_to_the_keep_first_optimum(self):
+        # with no star seed (n != 2r) the search keeps edges first and only
+        # replaces its incumbent on a strict gain, so of the optimal sets
+        # it returns the one whose indicator vector, edge 0 first, is
+        # lexicographically greatest; report bytes depend on this choice
+        rng = random.Random(1717)
+        checked = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randrange(2, 8), rng.random())
+            if g.m == 0 or g.m > 12:
+                continue
+            for r in (1, 2, 3):
+                if g.n == 2 * r:
+                    continue
+                checked += 1
+                assert ex_exact(g, r).edges == brute_ex_keep_first(g, r), (
+                    g.edges, r)
+        assert checked >= 500
 
     def test_certificate_subgraph_nu(self):
         rng = random.Random(5150)
