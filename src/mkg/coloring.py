@@ -309,7 +309,12 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
             if best_k == lb:
                 return
 
-    rec(full, 0)
+    try:
+        rec(full, 0)
+    finally:
+        # rec reaches itself through its closure, so the memo, by far the
+        # largest local, would otherwise live on until a cyclic GC pass
+        seen.clear()
     if best_sets is None:
         return best_k, list(cols0), nodes
     colors = [-1] * n

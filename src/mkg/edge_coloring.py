@@ -1,8 +1,9 @@
 """Exact chromatic index and the snark predicate.
 
-Class-2 status is certified by exhaustive failure of the Delta-edge-
-coloring search, never by heuristic: whether a cubic graph is a snark is
-what the whole counterexample hangs on.
+Class-2 status is certified by counting (an overfull graph) or by
+exhaustive failure of the Delta-edge-coloring search, never by
+heuristic: whether a cubic graph is a snark is what the whole
+counterexample hangs on.
 """
 
 from __future__ import annotations
@@ -74,18 +75,21 @@ def _backtrack_edge_coloring(g: Graph, k: int):
 def chromatic_index(g: Graph) -> EdgeColoringResult:
     """Exact chi'(G) with a witnessing proper edge coloring.
 
-    Tries a Delta-edge-coloring by backtracking; if that search fails
-    exhaustively the graph is class two and the same backtracker with
-    k=Delta+1 produces the coloring, which Vizing's theorem guarantees
-    to exist.
+    An overfull graph (m > Delta * floor(n/2)) is class two by counting,
+    since each color class is a matching of at most floor(n/2) edges.
+    Otherwise tries a Delta-edge-coloring by backtracking, and the graph
+    is class two when that search fails exhaustively.  For class two the
+    same backtracker with k=Delta+1 produces the coloring, which
+    Vizing's theorem guarantees to exist.
     Convention: m=0 gives chi'=0.
     """
     if g.m == 0:
         return EdgeColoringResult(0, (), "one")
     delta = max(row.bit_count() for row in g.rows)
-    col = _backtrack_edge_coloring(g, delta)
-    if col is not None:
-        return EdgeColoringResult(delta, tuple(col), "one")
+    if g.m <= delta * (g.n // 2):
+        col = _backtrack_edge_coloring(g, delta)
+        if col is not None:
+            return EdgeColoringResult(delta, tuple(col), "one")
     col = _backtrack_edge_coloring(g, delta + 1)
     return EdgeColoringResult(delta + 1, tuple(col), "two")
 

@@ -5,7 +5,12 @@ The search is a branch and bound over edges in index order, deciding
 keep or delete (keep branch first).  Two prunes carry it: a branch dies
 the moment the kept set contains an r-matching, and a branch dies when
 kept + undecided cannot beat the incumbent.  The "has an r-matching"
-test is the matchings backtracker with early exit at size r.
+test is incremental: the search carries a maximum matching of the kept
+set down the keep branch, and since one more edge raises the matching
+number by at most one, a single augmenting-path search (the blossom
+search of matchings._augment; Berge's theorem says it is enough)
+decides each keep.  validate_certificate re-checks the result with the
+matchings backtracker instead, a code path the search does not use.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import Graph, bit_indices
-from .matchings import has_matching_of_size, matching_number
+from .matchings import _augment, has_matching_of_size
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,14 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
 
     Seeded with star_removal_bound when n = 2r, otherwise unseeded; the
     branch and bound only chases strict improvements, so when the seed is
-    already optimal it is returned unchanged.  Ties go to the first
-    optimum in search order; unseeded, that is the optimum whose keep
-    indicator vector (edge 0 first) is lexicographically greatest.
+    already optimal it is returned unchanged.  Keeping edge (a, b) with
+    both ends free in the carried matching grows it with no search; with
+    one end free, an augmenting path must end there, so one blossom
+    search from that end decides; with both ends matched, the free
+    vertices are tried as roots until one search augments.  Ties go to
+    the first optimum in search order; unseeded, that is the optimum
+    whose keep indicator vector (edge 0 first) is lexicographically
+    greatest.
     """
     if r < 1:
         raise ValueError("ex_exact requires r >= 1")
@@ -59,7 +69,26 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
     else:
         best_value, best_mask = -1, 0
 
-    def rec(i: int, kept_mask: int, kept_count: int) -> None:
+    n = g.n
+    edges = g.edges
+    rows = [0] * n  # adjacency bitmasks of the kept set K
+    match = [-1] * n  # a maximum matching of K; nu is its size
+
+    def grows(a: int, b: int) -> bool:
+        """With (a, b) just added to K, grow match by one edge if nu(K)
+        rose."""
+        if match[a] == -1 and match[b] == -1:
+            match[a], match[b] = b, a  # (a, b) itself: no search needed
+            return True
+        if match[a] == -1:
+            return _augment(n, rows, match, a)
+        if match[b] == -1:
+            return _augment(n, rows, match, b)
+        # a path through (a, b) joins two other free vertices
+        return any(_augment(n, rows, match, v)
+                   for v in range(n) if match[v] == -1)
+
+    def rec(i: int, kept_mask: int, kept_count: int, nu: int) -> None:
         nonlocal best_value, best_mask
         if kept_count + (m - i) <= best_value:
             return
@@ -68,24 +97,31 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
             best_value = kept_count
             best_mask = kept_mask
             return
-        cand = kept_mask | (1 << i)
-        if has_matching_of_size(g, r, allowed=cand) is None:
-            rec(i + 1, cand, kept_count + 1)
-        rec(i + 1, kept_mask, kept_count)
+        a, b = edges[i]
+        saved = match[:]
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+        kept_nu = nu + grows(a, b)
+        if kept_nu < r:
+            rec(i + 1, kept_mask | (1 << i), kept_count + 1, kept_nu)
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+        match[:] = saved
+        rec(i + 1, kept_mask, kept_count, nu)
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, 0)
     return ExtremalCertificate(frozenset(bit_indices(best_mask)), best_value, r)
 
 
 def validate_certificate(g: Graph, cert: ExtremalCertificate) -> bool:
     """Independent re-check: the kept subgraph really has nu <= r-1.
 
-    Rebuilds the subgraph and runs the exact matching number on it, a
-    different code path from the backtracker used inside the search.
+    Runs the matchings backtracker over the certificate's edges, a
+    different code path from the blossom search used inside ex_exact.
     """
-    if cert.value != len(cert.edges):
+    if cert.value != len(cert.edges) or cert.r < 1:
         return False
     if any(not 0 <= e < g.m for e in cert.edges):
         return False
-    sub = Graph(g.n, [g.edges[e] for e in cert.edges])
-    return matching_number(sub) <= cert.r - 1
+    mask = sum(1 << e for e in cert.edges)
+    return has_matching_of_size(g, cert.r, allowed=mask) is None

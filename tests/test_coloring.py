@@ -1,4 +1,6 @@
+import gc
 import random
+import types
 
 import pytest
 
@@ -118,6 +120,37 @@ class TestBudget:
     def test_big_budget_fine(self):
         chi, _ = chromatic_number(generate("petersen"), budget=10**6)
         assert chi == 3
+
+    def test_cover_memo_released_when_the_budget_runs_out(self):
+        # the cover search's rec reaches itself through its closure, so
+        # its locals are freed only by a cyclic GC pass; the memo, the
+        # bulk of them, must be emptied at once or it lingers into the
+        # next instance of a scan and raises its peak memory
+        kg = build_matching_kneser(generate("complete(6)"), 2)
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                chromatic_number(kg, budget=50)
+            except BudgetExhausted:
+                pass  # not kept: its traceback would keep the memo alive
+            else:
+                pytest.fail("the budget did not run out")
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            # an int-keyed dict is not tracked by the GC itself, so look
+            # for it in the closure cells that the GC found unreachable
+            memos = []
+            for cell in gc.garbage:
+                if isinstance(cell, types.CellType):
+                    held = cell.cell_contents
+                    if isinstance(held, dict) and held:
+                        memos.append(held)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert memos == []
 
 
 class TestGreedyExColoring:

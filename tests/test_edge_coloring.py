@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import combinations
 
 from helpers import FIXTURES, brute_chromatic, load_fixture, random_graph
@@ -106,6 +107,16 @@ class TestChromaticIndex:
         assert sum(res.vizing_class == "two" for res in results) == 45
         text = "".join(repr(res) + "\n" for res in results)
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
+
+    def test_overfull_is_class_two_by_counting(self):
+        # K9 has m = 36 > Delta * floor(n/2) = 32: no 8-edge-coloring can
+        # exist, and the exhaustive 8-color search alone runs for minutes
+        g = generate("complete(9)")
+        start = time.perf_counter()
+        res = chromatic_index(g)
+        assert time.perf_counter() - start < 10
+        assert res.chromatic_index == 9 and res.vizing_class == "two"
+        assert_proper(g, res)
 
 
 

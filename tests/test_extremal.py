@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from helpers import brute_ex, brute_ex_keep_first, load_fixture, random_graph
+import mkg.extremal
+import mkg.matchings
+from helpers import (
+    brute_ex,
+    brute_ex_keep_first,
+    brute_ex_multi,
+    load_fixture,
+    random_graph,
+)
 from mkg import (
     ExtremalCertificate,
     ex_exact,
@@ -125,6 +133,40 @@ class TestExExact:
                     g.edges, r)
         assert checked >= 500
 
+    def test_near_perfect_against_brute(self, monkeypatch):
+        # r at or just below floor(n/2): the kept sets run deep and nearly
+        # saturated, so keeping an edge mostly needs the augmenting-path
+        # search (blossoms included), not the both-ends-free shortcut
+        augmented = []
+        augment = mkg.extremal._augment
+
+        def spy(*args):
+            grown = augment(*args)
+            augmented.append(grown)
+            return grown
+
+        monkeypatch.setattr(mkg.extremal, "_augment", spy)
+        rng = random.Random(2468)
+        hosts = []
+        while len(hosts) < 120:
+            n = rng.randrange(4, 11)
+            g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+            if 0 < g.m <= 14:
+                hosts.append((g, (n // 2, n // 2 - 1)))
+        hosts += [(generate(f"cycle({n})"), (n // 2,))
+                  for n in range(3, 16, 2)]
+        cubic = load_fixture("cubic_bridgeless_n14.g6") + load_fixture(
+            "petersen.g6")
+        hosts += [(g, (g.n // 2,)) for g in cubic if g.m <= 15]
+        for g, rs in hosts:
+            want = brute_ex_multi(g, [r for r in rs if r >= 1])
+            for r, value in want.items():
+                cert = ex_exact(g, r)
+                assert cert.value == value, (g.edges, r)
+                assert validate_certificate(g, cert)
+        assert augmented.count(True) >= 1000
+        assert augmented.count(False) >= 1000
+
     def test_certificate_subgraph_nu(self):
         rng = random.Random(5150)
         for _ in range(30):
@@ -149,3 +191,18 @@ class TestValidateCertificate:
             g, ExtremalCertificate(frozenset({0, 9}), 2, 2))  # out of range
         assert not validate_certificate(
             g, ExtremalCertificate(frozenset(range(5)), 5, 2))  # has 2-matching
+
+    def test_recheck_is_independent_of_the_search(self, monkeypatch):
+        # the search grows matchings with the blossom search; the re-check
+        # must reach its verdict without it
+        g = generate("petersen")
+        cert = ex_exact(g, 5)
+
+        def fail(*args):
+            raise AssertionError("the re-check ran the blossom search")
+
+        monkeypatch.setattr(mkg.matchings, "_augment", fail)
+        monkeypatch.setattr(mkg.extremal, "_augment", fail)
+        assert validate_certificate(g, cert)
+        assert not validate_certificate(
+            g, ExtremalCertificate(frozenset(range(g.m)), g.m, 5))

@@ -263,7 +263,8 @@ def _golden_reports():
     snark and cubic bridgeless hosts at half-order, every 20th host of
     connected_n7.g6 at r = 2 and r = 3, and KG(K6, 2K2), which the cover
     engine solves with the default budget and leaves undecided with 50
-    nodes.  flower_j5 is left out: its ex search alone takes seconds."""
+    nodes.  flower_j5 is pinned on its own, in
+    test_flower_j5_report_bytes."""
     for name in ("petersen.g6", "blanusa_1.g6", "blanusa_2.g6",
                  "cubic_bridgeless_n14.g6"):
         yield from scan_catalog(FIXTURES / name, "half-order")
@@ -292,3 +293,17 @@ def test_golden_report_bytes(monkeypatch):
     assert cover_runs.count(45) >= 2  # KG(K6, 2K2) has 45 vertices
     text = "".join(report_to_json(rep) + "\n" for rep in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
+
+
+# sha256 of flower J5's half-order report_to_json line and its newline
+FLOWER_J5_SHA256 = ("1499cd3acb010eaf7abca5ec7d36a8c8"
+                    "90883b6c232775be9a53cced58235889")
+
+
+def test_flower_j5_report_bytes():
+    # a snark of order 20 (m = 30, r = 10): the deepest ex search among
+    # the fixtures, so it pins the certificate ex_exact picks near n = 2r
+    (rep,) = scan_catalog(FIXTURES / "flower_j5.g6", "half-order")
+    assert rep.verdict == VERDICT_COUNTEREXAMPLE
+    line = report_to_json(rep) + "\n"
+    assert hashlib.sha256(line.encode()).hexdigest() == FLOWER_J5_SHA256
