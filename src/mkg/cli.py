@@ -17,7 +17,7 @@ from .coloring import DEFAULT_BUDGET
 from .edge_coloring import chromatic_index
 from .extremal import ex_exact
 from .graph_core import Graph6Error, open_graph6, parse_graph6
-from .kneser import build_matching_kneser, to_dot
+from .kneser import KneserGraph, build_matching_kneser, to_dot
 from .verifier import (ConjectureReport, ScanError,
                        SelfCheckError, VERDICT_COUNTEREXAMPLE,
                        VERDICT_UNDECIDED, report_to_json, resolve_r,
@@ -105,12 +105,14 @@ def _cmd_check(args, parser) -> int:
     r = resolve_r(g, _parse_r(args.r, parser))
     if r is None:
         rep = skipped_report(g)
+        # the null derived graph that the skipped report describes
+        kg = KneserGraph(g, 0, (), (), 0)
     else:
         kg = build_matching_kneser(g, r) if args.dot else None
         rep = verify_conjecture(g, r, budget=args.budget, kg=kg)
-        if kg is not None:
-            with open(args.dot, "w", encoding="ascii") as fh:
-                fh.write(to_dot(kg))
+    if args.dot:
+        with open(args.dot, "w", encoding="ascii") as fh:
+            fh.write(to_dot(kg))
     print(report_to_json(rep) if args.json else _report_text(rep))
     _announce_counterexamples([rep])
     return _exit_code({rep.verdict}, False)
@@ -122,7 +124,7 @@ def _cmd_scan(args, parser) -> int:
     counterexamples = []  # the only reports kept past their output line
     had_error = False
     with _open_input(args.graph) as fh:
-        for rec in scan_lines(fh, r_policy):
+        for rec in scan_lines(fh, r_policy, budget=args.budget):
             if isinstance(rec, ScanError):
                 had_error = True
                 print(scan_error_to_json(rec) if args.json
@@ -199,6 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="matching size, or 'half-order'")
     p_scan.add_argument("--json", action="store_true",
                         help="emit JSON-lines reports")
+    p_scan.add_argument("--budget", type=_positive_int,
+                        default=DEFAULT_BUDGET,
+                        help="coloring search node budget")
     p_scan.set_defaults(fn=_cmd_scan)
 
     p_ex = sub.add_parser("ex", help="exact ex(G, rK2) with certificate")

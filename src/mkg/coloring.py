@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .graph_core import Graph
+from .kneser import KneserGraph
 from .matchings import enumerate_matchings, has_matching_of_size
 
 DEFAULT_BUDGET = 10_000_000
@@ -68,11 +69,23 @@ class _MisOverflow(Exception):
     pass
 
 
-def _lower_bound_clique(masks: list[int], n: int) -> list[int]:
+def _lower_bound_clique(masks: list[int], n: int, supports: list[int],
+                        per: int) -> list[int]:
     """A clique for the chi lower bound: the greedy one (vertices by
     degree, highest first), then improved by a branch and bound that
     stops once the best clique reaches _CLIQUE_CAP vertices or after
-    _CLIQUE_NODES nodes.  Stopping early only weakens the bound."""
+    _CLIQUE_NODES nodes.  Stopping early only weakens the bound.
+
+    supports[v] is a bitmask of v's ground elements, each vertex has per
+    of them, and adjacent vertices have disjoint supports.  So a clique
+    among the candidates uses per distinct elements of the union U of
+    their supports for each member, and no more than |U| // per members
+    can join the current clique; the search prunes on that count (the
+    Kneser bound on each sub-search).  A vertex of KG(G, rK2) is
+    supported by its r host edges.  A plain Graph has no such structure
+    and gets singleton supports {v} with per = 1, where U is the
+    candidate set itself and the prune is a plain vertex count.
+    """
     best = []
     cand = (1 << n) - 1
     for v in sorted(range(n), key=lambda u: (-masks[u].bit_count(), u)):
@@ -88,7 +101,13 @@ def _lower_bound_clique(masks: list[int], n: int) -> list[int]:
         while cand:
             if len(best) >= _CLIQUE_CAP:
                 return
-            if len(cur) + cand.bit_count() <= len(best):
+            union = 0
+            rest = cand
+            while rest:
+                bit = rest & -rest
+                union |= supports[bit.bit_length() - 1]
+                rest ^= bit
+            if len(cur) + union.bit_count() // per <= len(best):
                 return
             nodes += 1
             if nodes > _CLIQUE_NODES:
@@ -100,6 +119,15 @@ def _lower_bound_clique(masks: list[int], n: int) -> list[int]:
 
     rec([], (1 << n) - 1)
     return best
+
+
+def _clique_supports(kg) -> tuple[list[int], int]:
+    """supports and per for _lower_bound_clique: the host edges of each
+    r-matching of a KneserGraph, r per vertex, or singletons for a plain
+    Graph."""
+    if isinstance(kg, KneserGraph):
+        return [sum(1 << e for e in mt) for mt in kg.vertices], kg.r
+    return [1 << v for v in range(kg.n)], 1
 
 
 def _greedy_dsatur(masks: list[int], n: int) -> list[int]:
@@ -335,7 +363,8 @@ def chromatic_number(kg, budget: int = DEFAULT_BUDGET):
     """Exact chi with a witnessing Coloring, as (chi, Coloring).
 
     Reads kg.n, kg.m and the adjacency bitmasks kg.rows, so a KneserGraph
-    and a plain Graph are both accepted.  Conventions: the null graph
+    and a plain Graph are both accepted; a KneserGraph's vertices and r
+    also bound its lower-bound clique search.  Conventions: the null graph
     has chi 0, a nonempty edgeless graph has chi 1 (the counterexample
     arithmetic depends on the latter).  Raises BudgetExhausted, with the
     best bounds found, if the search exceeds the node budget.
@@ -345,7 +374,7 @@ def chromatic_number(kg, budget: int = DEFAULT_BUDGET):
         return 0, Coloring((), 0)
     if m == 0:
         return 1, Coloring((0,) * n, 1)
-    clique = _lower_bound_clique(masks, n)
+    clique = _lower_bound_clique(masks, n, *_clique_supports(kg))
     lb = len(clique)
     cols0 = _greedy_dsatur(masks, n)
     ub = max(cols0) + 1

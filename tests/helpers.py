@@ -98,6 +98,25 @@ def brute_chromatic(g) -> int:
     return k
 
 
+def brute_clique_number(g, cap: int) -> int:
+    """min(omega(g), cap): cliques grown in vertex index order, with no
+    bound but the count of vertices left.  g is a Graph or a
+    KneserGraph."""
+    adj = [set(ns) for ns in _rows_to_lists(g)]
+    best = 0
+
+    def grow(size: int, cands: list) -> None:
+        nonlocal best
+        best = max(best, size)
+        if best >= cap or size + len(cands) <= best:
+            return
+        for i, v in enumerate(cands):
+            grow(size + 1, [w for w in cands[i + 1:] if w in adj[v]])
+
+    grow(0, list(range(g.n)))
+    return min(best, cap)
+
+
 def brute_colorable(g, k: int) -> bool:
     """Exhaustive k-colorability, used to confirm non-(chi-1)-colorability.
     g is a Graph or a KneserGraph."""

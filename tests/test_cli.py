@@ -83,6 +83,19 @@ class TestCheck:
         kg = build_matching_kneser(generate("cycle(5)"), 2)
         assert dot.read_text() == to_dot(kg)
 
+    def test_dot_skipped_host_writes_null_graph(self, g6file, tmp_path,
+                                                capsys):
+        # half-order skips K5; the DOT file holds the null derived graph
+        # that the report describes
+        dot = tmp_path / "kg.dot"
+        rc = main(["check", "-g", g6file(generate("complete(5)")),
+                   "-r", "half-order", "--dot", str(dot)])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        assert "kneser: 0 vertices, 0 edges" in out
+        assert "verdict: r-out-of-scope" in out
+        assert dot.read_bytes() == b"graph kneser {\n}\n"
+
     def test_budget_undecided(self, g6file, capsys):
         rc = main(["check", "-g", g6file(generate("complete(7)")), "-r", "2",
                    "--budget", "3"])
@@ -154,6 +167,13 @@ class TestScan:
         out, err = capsys.readouterr()
         assert rc == 2 and err == ""
         assert out == "line 1: parse error: non-ASCII character (byte offset 1)\n"
+
+    def test_budget_undecided(self, g6file, capsys):
+        rc = main(["scan", "-g", g6file(generate("complete(7)")), "-r", "2",
+                   "--budget", "3"])
+        out, _ = capsys.readouterr()
+        assert rc == 3
+        assert "chi=-1" in out and "verdict=undecided" in out
 
     def test_scan_stdin(self, capsys, monkeypatch):
         text = "\n".join([write_graph6(generate("cycle(4)")),

@@ -1,10 +1,13 @@
 import gc
+import hashlib
 import random
+import sys
 import types
 
 import pytest
 
-from helpers import brute_chromatic, random_graph
+from helpers import (brute_chromatic, brute_clique_number, load_fixture,
+                     random_graph)
 from mkg import (
     BudgetExhausted,
     Coloring,
@@ -16,7 +19,11 @@ from mkg import (
     greedy_ex_coloring,
     validate_coloring,
 )
+from mkg import coloring
 from mkg.coloring import (
+    _CLIQUE_CAP,
+    _CLIQUE_NODES,
+    _clique_supports,
     _cover_bnb,
     _dsatur_bnb,
     _greedy_dsatur,
@@ -74,6 +81,84 @@ class TestAgainstBrute:
             assert validate_coloring(kg, col)
 
 
+def _singletons(n):
+    return [1 << v for v in range(n)]
+
+
+def _clique_search(kg, supports, per):
+    """_lower_bound_clique's clique and the number of branch-and-bound
+    nodes it visited (the calls of its nested rec, less the root)."""
+    calls = 0
+
+    def tracer(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if code.co_name == "rec" and code.co_filename == coloring.__file__:
+            calls += 1
+
+    sys.settrace(tracer)
+    try:
+        clique = _lower_bound_clique(kg.rows, kg.n, supports, per)
+    finally:
+        sys.settrace(None)
+    return clique, calls - 1
+
+
+class TestLowerBoundClique:
+    def _instances(self):
+        rng = random.Random(2718)
+        for _ in range(30):
+            g = random_graph(rng, rng.randrange(4, 9), 0.3 + 0.7 * rng.random())
+            for r in (2, 3):
+                yield build_matching_kneser(g, r)
+        for n in range(1, 10):
+            for k in range(1, n + 1):
+                yield build_kneser(n, k)
+
+    def test_support_bound_is_exact(self):
+        # the support prune cuts only subtrees that hold no larger
+        # clique: the clique equals that of the vertex-count search
+        # whenever the latter ends under the node cap, and it is a
+        # maximum clique wherever omega is below the size cap
+        compared = exact = 0
+        for kg in self._instances():
+            supports, per = _clique_supports(kg)
+            assert per == kg.r
+            clique, nodes = _clique_search(kg, supports, per)
+            assert nodes < _CLIQUE_NODES
+            old, old_nodes = _clique_search(kg, _singletons(kg.n), 1)
+            if old_nodes < _CLIQUE_NODES:
+                assert clique == old
+                compared += 1
+            omega = brute_clique_number(kg, _CLIQUE_CAP)
+            if omega < _CLIQUE_CAP:
+                assert len(clique) == omega
+                exact += 1
+            else:
+                assert len(clique) >= _CLIQUE_CAP
+            for i, v in enumerate(clique):
+                assert all(kg.rows[v] >> w & 1 for w in clique[i + 1:])
+        assert compared >= 80 and exact >= 80
+
+    def test_plain_graph_gets_singletons(self):
+        g = random_graph(random.Random(5), 9, 0.5)
+        assert _clique_supports(g) == (_singletons(9), 1)
+
+    def test_claim_workload_cliques(self):
+        # the chi lower-bound clique of KG(G, rK2) for every connected
+        # host with n <= 7 at r = 2 and r = 3, pinned before the support
+        # prune replaced the vertex-count prune
+        out = []
+        for r in (2, 3):
+            for g in load_fixture("connected_n7.g6"):
+                kg = build_matching_kneser(g, r)
+                out.append(_lower_bound_clique(kg.rows, kg.n,
+                                               *_clique_supports(kg)))
+        assert len(out) == 1992
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "63e8ea5175b2a4c320c67131c33c56be5598e596ccdccc77dd802aff1926e333")
+
+
 class TestEnginesAgree:
     def test_dsatur_vs_cover(self):
         rng = random.Random(31337)
@@ -85,7 +170,7 @@ class TestEnginesAgree:
                 continue
             checked += 1
             masks = g.rows
-            clique = _lower_bound_clique(masks, n)
+            clique = _lower_bound_clique(masks, n, _singletons(n), 1)
             cols0 = _greedy_dsatur(masks, n)
             ub = max(cols0) + 1
             lb = len(clique)
@@ -100,7 +185,7 @@ class TestEnginesAgree:
         g = random_graph(rng, 32, 0.6)
         chi, col = chromatic_number(g)  # routed to the cover engine
         masks = g.rows
-        clique = _lower_bound_clique(masks, g.n)
+        clique = _lower_bound_clique(masks, g.n, _singletons(g.n), 1)
         cols0 = _greedy_dsatur(masks, g.n)
         k, _, _ = _dsatur_bnb(masks, g.n, clique, len(clique),
                               max(cols0) + 1, cols0, 10**8)
