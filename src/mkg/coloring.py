@@ -4,7 +4,9 @@ Two complete search engines sit behind chromatic_number:
 
 * DSATUR-ordered branch and bound with a clique lower bound, the default.
   Tie-breaks are fixed (highest saturation, then highest degree, then
-  lowest vertex index) so search traces are reproducible.
+  lowest vertex index) so search traces are reproducible.  Its first
+  leaf, the one-pass DSATUR coloring, is the upper bound both engines
+  start from.
 * a set-cover branch and bound over all maximal independent sets, used
   for large dense inputs where DSATUR crawls.  Dense matching Kneser
   graphs have few maximal independent sets (intersecting families), so
@@ -130,39 +132,19 @@ def _clique_supports(kg) -> tuple[list[int], int]:
     return [1 << v for v in range(kg.n)], 1
 
 
-def _greedy_dsatur(masks: list[int], n: int) -> list[int]:
-    """One-pass DSATUR heuristic coloring (no backtracking): the upper
-    bound and incumbent witness for both exact engines."""
-    colors = [-1] * n
-    neigh = [0] * n  # colors seen at each vertex
-    degs = [masks[v].bit_count() for v in range(n)]
-    satdeg = [0] * n
-    uncolored = set(range(n))
-    for _ in range(n):
-        v = max(uncolored, key=lambda u: (satdeg[u], degs[u], -u))
-        uncolored.discard(v)
-        c = 0
-        blocked = neigh[v]
-        while (blocked >> c) & 1:
-            c += 1
-        colors[v] = c
-        rest = masks[v]
-        while rest:
-            bit = rest & -rest
-            w = bit.bit_length() - 1
-            rest ^= bit
-            if colors[w] == -1 and not (neigh[w] >> c) & 1:
-                neigh[w] |= 1 << c
-                satdeg[w] += 1
-    return colors
+def _dsatur_bnb(masks, n, clique, ub0, cols0, budget, first=False):
+    """DSATUR-ordered branch and bound.  Returns (k, colors).
 
-
-def _dsatur_bnb(masks, n, clique, lb, ub0, cols0, budget):
-    """DSATUR-ordered branch and bound.  Returns (k, colors, nodes)."""
+    With first set the search stops at its first leaf.  Started with no
+    clique and ub0 = n + 1, every vertex there takes its lowest free
+    color, so that leaf is the one-pass DSATUR coloring: the upper bound
+    and the incumbent of both engines.
+    """
     best_k = ub0
     best_cols = list(cols0)
-    if lb >= best_k:
-        return best_k, best_cols, 0
+    lb = len(clique)
+    # the search ends once it holds a coloring with this many colors
+    enough = n if first else lb
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
     colors = [-1] * n
     neigh = [0] * n
@@ -200,7 +182,7 @@ def _dsatur_bnb(masks, n, clique, lb, ub0, cols0, budget):
 
     def rec(remaining, used):
         nonlocal best_k, best_cols, nodes
-        if best_k == lb:
+        if best_k <= enough:
             return
         if not remaining:
             if used < best_k:
@@ -221,11 +203,11 @@ def _dsatur_bnb(masks, n, clique, lb, ub0, cols0, budget):
             touched = assign(v, c)
             rec(rest, max(used, c + 1))
             undo(v, c, touched)
-            if best_k == lb:
+            if best_k <= enough:
                 return
 
     rec(uncolored, used0)
-    return best_k, best_cols, nodes
+    return best_k, best_cols
 
 
 def _maximal_independent_sets(masks, n, cap):
@@ -273,7 +255,7 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
     candidates ordered by coverage of what remains.  A dominance memo on
     the uncovered bitmask (keyed to the best depth that reached it) plus
     a greedy clique bound on the uncovered subgraph do the heavy lifting.
-    Returns (k, colors, nodes); raises _MisOverflow if the MIS family is
+    Returns (k, colors); raises _MisOverflow if the MIS family is
     too large to enumerate (caller falls back to DSATUR).
     """
     sets = _maximal_independent_sets(masks, n, _MIS_CAP)
@@ -344,7 +326,7 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
         # largest local, would otherwise live on until a cyclic GC pass
         seen.clear()
     if best_sets is None:
-        return best_k, list(cols0), nodes
+        return best_k, list(cols0)
     colors = [-1] * n
     for ci, si in enumerate(best_sets):
         rest = sets[si]
@@ -356,7 +338,7 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
                 colors[w] = ci
     # a minimum cover leaves no set without a private vertex, so every
     # color index is used and no compaction is needed
-    return best_k, colors, nodes
+    return best_k, colors
 
 
 def chromatic_number(kg, budget: int = DEFAULT_BUDGET):
@@ -376,19 +358,19 @@ def chromatic_number(kg, budget: int = DEFAULT_BUDGET):
         return 1, Coloring((0,) * n, 1)
     clique = _lower_bound_clique(masks, n, *_clique_supports(kg))
     lb = len(clique)
-    cols0 = _greedy_dsatur(masks, n)
-    ub = max(cols0) + 1
+    # the first leaf takes one node per vertex, so a budget of n suffices
+    ub, cols0 = _dsatur_bnb(masks, n, [], n + 1, [], n, first=True)
     if lb >= ub:
         return ub, Coloring(tuple(cols0), ub)
     dense = (n >= _COVER_MIN_N and
              2 * m * _COVER_DENSITY_DEN >= _COVER_DENSITY_NUM * n * (n - 1))
     if dense:
         try:
-            k, cols, _ = _cover_bnb(masks, n, lb, ub, cols0, budget)
+            k, cols = _cover_bnb(masks, n, lb, ub, cols0, budget)
             return k, Coloring(tuple(cols), k)
         except _MisOverflow:
             pass
-    k, cols, _ = _dsatur_bnb(masks, n, clique, lb, ub, cols0, budget)
+    k, cols = _dsatur_bnb(masks, n, clique, ub, cols0, budget)
     return k, Coloring(tuple(cols), k)
 
 

@@ -24,7 +24,9 @@ class EdgeColoringResult:
 def _backtrack_edge_coloring(g: Graph, k: int):
     """A proper k-edge-coloring as a list, or None if none exists.
 
-    Edges are processed in index order, colors tried in ascending order.
+    k must be at least the maximum degree (chromatic_index passes Delta
+    or Delta + 1).  Edges are processed in index order, colors tried in
+    ascending order.
     Symmetry break: the star of vertex 0 is pre-colored 0..deg(0)-1 in
     edge-index order, which is harmless up to color permutation.  On top
     of that a fresh color may only be the lowest unused one.  The star
@@ -32,12 +34,6 @@ def _backtrack_edge_coloring(g: Graph, k: int):
     in index order needs at most k colors, it is the first descent.
     """
     m = g.m
-    if m == 0:
-        return []
-    if k <= 0:
-        return None
-    if g.n and g.degree(0) > k:
-        return None
     edges = g.edges
     color = [-1] * m
     used_at = [0] * g.n  # bitmask of colors present at each vertex

@@ -285,57 +285,37 @@ def generate(name: str) -> Graph:
 
 # ------------------------------------------------------------- predicates --
 
-def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from vertex 0, one bitmask frontier at
-    a time; null and one-vertex graphs count as connected."""
-    if g.n <= 1:
-        return True
-    seen = frontier = 1
+def _reach(rows, v: int) -> int:
+    """Bitmask of the vertices reachable from v, grown breadth first one
+    bitmask frontier at a time."""
+    seen = frontier = 1 << v
     while frontier:
         reach = 0
-        for v in bit_indices(frontier):
-            reach |= g.rows[v]
+        for w in bit_indices(frontier):
+            reach |= rows[w]
         frontier = reach & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    """Every vertex is reachable from vertex 0; null and one-vertex graphs
+    count as connected."""
+    return g.n == 0 or _reach(g.rows, 0) == (1 << g.n) - 1
 
 
 def bridges(g: Graph) -> list[int]:
-    """Edge indices of all bridges, sorted ascending.
-
-    Iterative lowpoint depth-first search, so deep hosts do not hit the
-    interpreter recursion limit.
-    """
-    disc = [-1] * g.n
-    low = [0] * g.n
+    """Edge indices of all bridges, sorted ascending: the edges (u, v)
+    that leave v out of u's reach once they are removed."""
+    rows = list(g.rows)
     out = []
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(bit_indices(g.rows[root])))]
-        while stack:
-            v, parent, it = stack[-1]
-            w = next(it, None)
-            if w is None:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] > disc[pv]:
-                        out.append(g.edge_index(pv, v))
-                continue
-            if w == parent:
-                continue  # the unique tree edge back up (simple graph)
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, v, iter(bit_indices(g.rows[w]))))
-            else:
-                low[v] = min(low[v], disc[w])
-    out.sort()
+    for i, (u, v) in enumerate(g.edges):
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        if not _reach(rows, u) >> v & 1:
+            out.append(i)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
     return out
 
 

@@ -26,7 +26,6 @@ from mkg.coloring import (
     _clique_supports,
     _cover_bnb,
     _dsatur_bnb,
-    _greedy_dsatur,
     _lower_bound_clique,
 )
 from mkg.extremal import ExtremalCertificate, ex_exact
@@ -83,6 +82,11 @@ class TestAgainstBrute:
 
 def _singletons(n):
     return [1 << v for v in range(n)]
+
+
+def _first_leaf(masks, n):
+    """(k, colors) of the DSATUR search's first leaf, chi's upper bound."""
+    return _dsatur_bnb(masks, n, [], n + 1, [], n, first=True)
 
 
 def _clique_search(kg, supports, per):
@@ -159,6 +163,24 @@ class TestLowerBoundClique:
             "63e8ea5175b2a4c320c67131c33c56be5598e596ccdccc77dd802aff1926e333")
 
 
+class TestUpperBound:
+    def test_claim_workload_colorings(self):
+        # the DSATUR upper-bound coloring of KG(G, rK2) for every connected
+        # host with n <= 7 and m(KG) > 0 at r = 2 and r = 3, pinned from
+        # the one-pass greedy DSATUR that the first leaf replaced
+        out = []
+        for r in (2, 3):
+            for g in load_fixture("connected_n7.g6"):
+                kg = build_matching_kneser(g, r)
+                if kg.m:
+                    k, cols = _first_leaf(kg.rows, kg.n)
+                    assert validate_coloring(kg, Coloring(tuple(cols), k))
+                    out.append(cols)
+        assert len(out) == 1779
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "ec0174e981ca77de8e5dce47fcf9679559dc378f2e068ef8a64da36a2c43e31d")
+
+
 class TestEnginesAgree:
     def test_dsatur_vs_cover(self):
         rng = random.Random(31337)
@@ -171,11 +193,10 @@ class TestEnginesAgree:
             checked += 1
             masks = g.rows
             clique = _lower_bound_clique(masks, n, _singletons(n), 1)
-            cols0 = _greedy_dsatur(masks, n)
-            ub = max(cols0) + 1
+            ub, cols0 = _first_leaf(masks, n)
             lb = len(clique)
-            k1, cols1, _ = _dsatur_bnb(masks, n, clique, lb, ub, cols0, 10**7)
-            k2, cols2, _ = _cover_bnb(masks, n, lb, ub, cols0, 10**7)
+            k1, cols1 = _dsatur_bnb(masks, n, clique, ub, cols0, 10**7)
+            k2, cols2 = _cover_bnb(masks, n, lb, ub, cols0, 10**7)
             assert k1 == k2
             assert validate_coloring(g, Coloring(tuple(cols2), k2))
 
@@ -186,10 +207,38 @@ class TestEnginesAgree:
         chi, col = chromatic_number(g)  # routed to the cover engine
         masks = g.rows
         clique = _lower_bound_clique(masks, g.n, _singletons(g.n), 1)
-        cols0 = _greedy_dsatur(masks, g.n)
-        k, _, _ = _dsatur_bnb(masks, g.n, clique, len(clique),
-                              max(cols0) + 1, cols0, 10**8)
+        ub, cols0 = _first_leaf(masks, g.n)
+        k, _ = _dsatur_bnb(masks, g.n, clique, ub, cols0, 10**8)
         assert chi == k
+        assert validate_coloring(g, col)
+
+    def test_mis_overflow_falls_back_to_dsatur(self, monkeypatch):
+        # a maximal independent set family above _MIS_CAP makes the cover
+        # engine give up; chi then comes from the DSATUR search, exactly
+        g = random_graph(random.Random(555), 32, 0.6)
+        chi, _ = chromatic_number(g)
+        cover_bnb, dsatur_bnb = coloring._cover_bnb, coloring._dsatur_bnb
+        overflows = []
+        dsatur_runs = []
+
+        def cover_spy(*args):
+            try:
+                return cover_bnb(*args)
+            except coloring._MisOverflow:
+                overflows.append(args[1])
+                raise
+
+        def dsatur_spy(*args, **kwargs):
+            dsatur_runs.append(kwargs.get("first", False))
+            return dsatur_bnb(*args, **kwargs)
+
+        monkeypatch.setattr(coloring, "_MIS_CAP", 10)
+        monkeypatch.setattr(coloring, "_cover_bnb", cover_spy)
+        monkeypatch.setattr(coloring, "_dsatur_bnb", dsatur_spy)
+        capped, col = chromatic_number(g)
+        assert overflows == [32]
+        assert dsatur_runs == [True, False]  # the upper bound, then the search
+        assert capped == chi
         assert validate_coloring(g, col)
 
 

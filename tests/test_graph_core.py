@@ -3,7 +3,8 @@ import random
 import pytest
 
 import networkx as nx
-from helpers import load_fixture, random_graph, reachability_connected
+from helpers import (FIXTURES, load_fixture, random_graph,
+                     reachability_connected)
 from mkg import (
     Graph,
     Graph6Error,
@@ -176,8 +177,12 @@ class TestBridges:
 
     def test_sorted_by_edge_index(self):
         rng = random.Random(23)
-        for _ in range(100):
-            g = random_graph(rng, rng.randrange(2, 10), 0.25)
+        graphs = [random_graph(rng, rng.randrange(2, 10), 0.25)
+                  for _ in range(100)]
+        # connected_n7.g6 and the cubic and snark fixtures
+        for path in sorted(FIXTURES.glob("*.g6")):
+            graphs += load_fixture(path.name)
+        for g in graphs:
             out = bridges(g)
             assert out == sorted(out)
             # cross-check membership against networkx
