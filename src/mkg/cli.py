@@ -168,7 +168,10 @@ def _cmd_kneser(args, parser) -> int:
 
 
 def _positive_int(value: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer") from None
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return n

@@ -13,14 +13,24 @@ Two complete search engines sit behind chromatic_number:
   covering V by them is the cheaper formulation by orders of magnitude.
 
 Both are exact and both respect the same node budget; the test suite
-cross-checks them against each other and against brute force.  A blown
-budget raises BudgetExhausted rather than ever returning a guess.
+cross-checks them against each other, against brute force and against
+list-based twins that must visit the same nodes in the same order.  A
+blown budget raises BudgetExhausted rather than ever returning a guess.
+
+Each search node costs a few bitmask operations, not a pass over the
+vertices.  DSATUR relabels the vertices by degree (highest first, then
+index), keeps one bitmask of uncolored vertices per saturation level and
+one bitmask per color of the uncolored vertices next to that color; its
+next vertex is the lowest bit of the highest nonempty level.  The cover
+search keeps a second uncovered bitmask relabelled by rarity, so the
+rarest uncovered vertex is its lowest bit.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graph_core import Graph
 from .kneser import KneserGraph
@@ -132,6 +142,15 @@ def _clique_supports(kg) -> tuple[list[int], int]:
     return [1 << v for v in range(kg.n)], 1
 
 
+def _relabel(rows, order):
+    """The bitmasks rows with bit order[i] moved to bit i, for a
+    permutation order of range(n), n >= 1."""
+    n = len(order)
+    # one binary string per row, read back in the new bit order
+    pick = itemgetter(*(n - 1 - u for u in reversed(order)))
+    return [int("".join(pick(f"{row:0{n}b}")), 2) for row in rows]
+
+
 def _dsatur_bnb(masks, n, clique, ub0, cols0, budget, first=False):
     """DSATUR-ordered branch and bound.  Returns (k, colors).
 
@@ -139,6 +158,14 @@ def _dsatur_bnb(masks, n, clique, ub0, cols0, budget, first=False):
     clique and ub0 = n + 1, every vertex there takes its lowest free
     color, so that leaf is the one-pass DSATUR coloring: the upper bound
     and the incumbent of both engines.
+
+    The search runs on a relabelled copy of the graph, vertices sorted
+    by degree (highest first) and then index.  level[s] is the bitmask
+    of uncolored vertices with saturation s, so the pinned choice
+    (saturation desc, degree desc, index asc) is the lowest bit of the
+    highest nonempty level.  near[c] is the bitmask of uncolored
+    vertices with a neighbor of color c: coloring v with c raises the
+    saturation of exactly the uncolored neighbors of v outside near[c].
     """
     best_k = ub0
     best_cols = list(cols0)
@@ -146,67 +173,90 @@ def _dsatur_bnb(masks, n, clique, ub0, cols0, budget, first=False):
     # the search ends once it holds a coloring with this many colors
     enough = n if first else lb
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
+    order = sorted(range(n), key=lambda u: (-masks[u].bit_count(), u))
+    label = [0] * n
+    for i, u in enumerate(order):
+        label[u] = i
+    adj = _relabel([masks[u] for u in order], order)
     colors = [-1] * n
-    neigh = [0] * n
-    satdeg = [0] * n
-    degs = [masks[v].bit_count() for v in range(n)]
+    near = [0] * n
+    # a saturation never exceeds the number of colors in use, below n
+    # while a vertex is left
+    level = [0] * (n + 1)
+    level[0] = uncolored = (1 << n) - 1
     nodes = 0
 
-    def assign(v, c):
-        nonlocal nodes
-        colors[v] = c
-        touched = []
-        rest = masks[v]
-        while rest:
-            bit = rest & -rest
-            w = bit.bit_length() - 1
-            rest ^= bit
-            if colors[w] == -1 and not (neigh[w] >> c) & 1:
-                neigh[w] |= 1 << c
-                satdeg[w] += 1
-                touched.append(w)
-        return touched
+    def lift(rise, top):
+        # every vertex of rise moves up one level; none is above top
+        s = top
+        while rise:
+            moving = rise & level[s]
+            if moving:
+                level[s] ^= moving
+                level[s + 1] |= moving
+                rise ^= moving
+            s -= 1
 
-    def undo(v, c, touched):
-        colors[v] = -1
-        for w in touched:
-            neigh[w] &= ~(1 << c)
-            satdeg[w] -= 1
+    def drop(rise):
+        # undo lift; walking up, a moved vertex is never met again
+        s = 1
+        while rise:
+            moving = rise & level[s]
+            if moving:
+                level[s] ^= moving
+                level[s - 1] |= moving
+                rise ^= moving
+            s += 1
 
     # the clique vertices are forced pairwise-distinct; fixing them up
-    # front removes that symmetry from the search
-    for i, v in enumerate(clique):
-        assign(v, i)
+    # front removes that symmetry from the search.  The i-th of them has
+    # the i colors before it as neighbors, so it sits on level i.
+    for i, u in enumerate(clique):
+        v = label[u]
+        level[i] &= ~(1 << v)
+        uncolored &= ~(1 << v)
+        colors[v] = i
+        rise = adj[v] & uncolored & ~near[i]
+        near[i] |= rise
+        lift(rise, i)
     used0 = len(clique)
-    uncolored = [v for v in range(n) if colors[v] == -1]
 
-    def rec(remaining, used):
-        nonlocal best_k, best_cols, nodes
+    def rec(used):
+        nonlocal best_k, best_cols, nodes, uncolored
         if best_k <= enough:
             return
-        if not remaining:
+        if not uncolored:
             if used < best_k:
                 best_k = used
-                best_cols = colors.copy()
+                best_cols = [colors[i] for i in label]
             return
-        # pinned tie-breaks: saturation desc, degree desc, index asc
-        v = max(remaining, key=lambda u: (satdeg[u], degs[u], -u))
-        rest = [u for u in remaining if u != v]
-        cap = min(used + 1, best_k - 1)
-        blocked = neigh[v]
-        for c in range(cap):
-            if (blocked >> c) & 1:
+        s = used
+        while not level[s]:
+            s -= 1
+        vbit = level[s] & -level[s]
+        v = vbit.bit_length() - 1
+        level[s] ^= vbit
+        uncolored ^= vbit
+        row = adj[v] & uncolored
+        for c in range(min(used + 1, best_k - 1)):
+            if near[c] & vbit:
                 continue
             nodes += 1
             if nodes > budget:
                 raise BudgetExhausted(lb, best_k, budget)
-            touched = assign(v, c)
-            rec(rest, max(used, c + 1))
-            undo(v, c, touched)
+            colors[v] = c
+            rise = row & ~near[c]
+            near[c] |= rise
+            lift(rise, used)
+            rec(max(used, c + 1))
+            near[c] ^= rise
+            drop(rise)
             if best_k <= enough:
-                return
+                break
+        uncolored |= vbit
+        level[s] |= vbit
 
-    rec(uncolored, used0)
+    rec(used0)
     return best_k, best_cols
 
 
@@ -259,7 +309,6 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
     too large to enumerate (caller falls back to DSATUR).
     """
     sets = _maximal_independent_sets(masks, n, _MIS_CAP)
-    nsets = len(sets)
     alpha = max(s.bit_count() for s in sets)
     covers = [[] for _ in range(n)]
     for idx, s in enumerate(sets):
@@ -268,19 +317,22 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
             bit = rest & -rest
             covers[bit.bit_length() - 1].append(idx)
             rest ^= bit
+    # a second copy of every set, relabelled by rarity (fewest sets
+    # first, then index), makes the rarest uncovered vertex a lowest bit;
+    # the sets are sparse, so they are relabelled bit by bit
     rarity = sorted(range(n), key=lambda v: (len(covers[v]), v))
-
-    def clique_lb(unc):
-        # greedy clique inside the uncovered subgraph; every clique vertex
-        # needs its own covering set
-        size = 0
-        cand = unc
-        while cand:
-            bit = cand & -cand
-            v = bit.bit_length() - 1
-            size += 1
-            cand &= masks[v]
-        return size
+    rank = [0] * n
+    for i, v in enumerate(rarity):
+        rank[v] = i
+    rsets = []
+    for s in sets:
+        rs = 0
+        rest = s
+        while rest:
+            bit = rest & -rest
+            rs |= 1 << rank[bit.bit_length() - 1]
+            rest ^= bit
+        rsets.append(rs)
 
     best_k = ub0
     best_sets = None
@@ -289,7 +341,7 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
     seen = {}
     nodes = 0
 
-    def rec(unc, depth):
+    def rec(unc, runc, depth):
         nonlocal best_k, best_sets, nodes
         nodes += 1
         if nodes > budget:
@@ -304,23 +356,33 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
             return
         if len(seen) < _MEMO_CAP:
             seen[unc] = depth
-        bound = max(-(-unc.bit_count() // alpha), clique_lb(unc))
-        if depth + bound >= best_k:
+        # every set covers at most alpha vertices, and every vertex of a
+        # clique in the uncovered subgraph needs its own set.  The greedy
+        # clique (lowest vertex first) prunes once it reaches room
+        # vertices, so it is grown no further than that.
+        room = best_k - depth
+        if -(-unc.bit_count() // alpha) >= room:
             return
-        for v in rarity:
-            if (unc >> v) & 1:
+        cand = unc
+        for _ in range(room - 1):
+            cand &= masks[(cand & -cand).bit_length() - 1]
+            if not cand:
                 break
-        cands = sorted(covers[v],
-                       key=lambda i: (-(sets[i] & unc).bit_count(), i))
-        for i in cands:
+        else:
+            return
+        v = rarity[(runc & -runc).bit_length() - 1]
+        # covers[v] ascends and the sort is stable, so ties go to the
+        # lower set index
+        for i in sorted(covers[v],
+                        key=lambda i: -(sets[i] & unc).bit_count()):
             chosen.append(i)
-            rec(unc & ~sets[i], depth + 1)
+            rec(unc & ~sets[i], runc & ~rsets[i], depth + 1)
             chosen.pop()
             if best_k == lb:
                 return
 
     try:
-        rec(full, 0)
+        rec(full, full, 0)
     finally:
         # rec reaches itself through its closure, so the memo, by far the
         # largest local, would otherwise live on until a cyclic GC pass

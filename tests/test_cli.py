@@ -225,6 +225,19 @@ class TestUsage:
                   "--frobnicate"])
         assert ei.value.code == 2
 
+    @pytest.mark.parametrize("command", ["check", "scan"])
+    @pytest.mark.parametrize("budget, message", [
+        ("abc", "must be an integer"), ("1.5", "must be an integer"),
+        ("0", "must be >= 1")])
+    def test_bad_budget(self, g6file, capsys, command, budget, message):
+        with pytest.raises(SystemExit) as ei:
+            main([command, "-g", g6file(generate("cycle(5)")), "-r", "2",
+                  "--budget", budget])
+        assert ei.value.code == 2
+        _, err = capsys.readouterr()
+        assert err.endswith(
+            f"mkg {command}: error: argument --budget: {message}\n")
+
     def test_ex_rejects_bad_r(self, g6file):
         with pytest.raises(SystemExit) as ei:
             main(["ex", "-g", g6file(generate("cycle(5)")), "-r", "0"])

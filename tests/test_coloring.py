@@ -7,7 +7,7 @@ import types
 import pytest
 
 from helpers import (brute_chromatic, brute_clique_number, load_fixture,
-                     random_graph)
+                     random_graph, ref_cover_bnb, ref_dsatur_bnb)
 from mkg import (
     BudgetExhausted,
     Coloring,
@@ -240,6 +240,93 @@ class TestEnginesAgree:
         assert dsatur_runs == [True, False]  # the upper bound, then the search
         assert capped == chi
         assert validate_coloring(g, col)
+
+
+def _outcome(engine, *args):
+    """(k, colors) of a search, or the bounds it ran out of budget with."""
+    try:
+        k, cols = engine(*args)
+    except BudgetExhausted as err:
+        return "exhausted", err.lower_bound, err.upper_bound
+    return "done", k, list(cols)
+
+
+class TestSlowTwin:
+    # both engines against their list-based twins in tests/helpers.py:
+    # the same nodes in the same order give the same coloring, or run
+    # out of budget at the same node with the same bounds.  Each search
+    # starts from the first-leaf upper bound, as in chromatic_number,
+    # and from no incumbent at all.
+    BUDGETS = (1, 10, 100, 1000, 10**9)
+
+    def _instances(self):
+        rng = random.Random(4242)
+        for _ in range(16):
+            yield random_graph(rng, rng.randrange(12, 23),
+                               0.3 + 0.55 * rng.random())
+        for n, k in ((5, 2), (6, 2), (7, 2), (7, 3)):
+            yield build_kneser(n, k)
+        for name, r in (("cycle(7)", 2), ("complete(5)", 2),
+                        ("complete(6)", 2), ("cycle(9)", 3)):
+            yield build_matching_kneser(generate(name), r)
+
+    def _starts(self, g):
+        masks, n = g.rows, g.n
+        first = _first_leaf(masks, n)
+        assert first == ref_dsatur_bnb(masks, n, [], n + 1, [], n,
+                                       first=True)
+        clique = _lower_bound_clique(masks, n, *_clique_supports(g))
+        for ub, cols0 in (first, (n + 1, [])):
+            yield masks, n, clique, ub, cols0
+
+    def test_dsatur_matches_twin(self):
+        outcomes = []
+        for g in self._instances():
+            for masks, n, clique, ub, cols0 in self._starts(g):
+                # with the clique colored up front, as chromatic_number
+                # does, and with every vertex left to the search
+                for pre in (clique, []):
+                    for budget in self.BUDGETS:
+                        args = (masks, n, pre, ub, cols0, budget)
+                        got = _outcome(_dsatur_bnb, *args)
+                        assert got == _outcome(ref_dsatur_bnb, *args), (
+                            n, pre, ub, budget)
+                        outcomes.append(got[0])
+        assert outcomes.count("exhausted") >= 100
+        assert outcomes.count("done") >= 200
+
+    def test_cover_matches_twin(self):
+        outcomes = []
+        for g in self._instances():
+            for masks, n, clique, ub, cols0 in self._starts(g):
+                for budget in self.BUDGETS:
+                    args = (masks, n, len(clique), ub, cols0, budget)
+                    got = _outcome(_cover_bnb, *args)
+                    assert got == _outcome(ref_cover_bnb, *args), (
+                        n, ub, budget)
+                    outcomes.append(got[0])
+        assert outcomes.count("exhausted") >= 50
+        assert outcomes.count("done") >= 100
+
+
+class TestSearchFingerprint:
+    def test_outcomes_pinned(self):
+        # chi or the exhaustion bounds at three budgets, on a graph that
+        # the cover engine takes (KG(K8, 2K2), 210 vertices) and one that
+        # DSATUR takes (Petersen at r = 3, 145 vertices); pinned before
+        # the engines moved to per-color bitmasks
+        out = []
+        for name, r in (("complete(8)", 2), ("petersen", 3)):
+            kg = build_matching_kneser(generate(name), r)
+            for budget in (10**2, 10**3, 10**4):
+                try:
+                    chi, col = chromatic_number(kg, budget=budget)
+                    out.append(("chi", chi, col.colors))
+                except BudgetExhausted as err:
+                    out.append(("exhausted", err.lower_bound,
+                                err.upper_bound))
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "fea15b688f6eed615fcb0aa00b655e9cc9b74aa874f0aaf3950638936d98ec52")
 
 
 class TestBudget:
