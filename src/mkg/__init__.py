@@ -7,8 +7,7 @@ counterexamples.
 
 from .graph_core import (Graph, Graph6Error, bridges, complete, cycle,
                          disjoint_matching, generate, is_connected, is_cubic,
-                         parse_graph6, petersen, read_graph6_file, star,
-                         write_graph6)
+                         parse_graph6, petersen, star, write_graph6)
 from .matchings import (enumerate_matchings, enumerate_perfect_matchings,
                         has_matching_of_size, matching_number,
                         perfect_matchings_pairwise_intersect,
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "Graph6Error", "parse_graph6", "write_graph6",
-    "read_graph6_file", "generate", "petersen", "cycle", "complete", "star",
+    "generate", "petersen", "cycle", "complete", "star",
     "disjoint_matching", "is_connected", "bridges", "is_cubic",
     "enumerate_matchings", "enumerate_perfect_matchings",
     "has_matching_of_size", "matching_number", "schonberger_check",

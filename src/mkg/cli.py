@@ -18,11 +18,10 @@ from .edge_coloring import chromatic_index
 from .extremal import ex_exact
 from .graph_core import Graph6Error, open_graph6, parse_graph6
 from .kneser import KneserGraph, build_matching_kneser, to_dot
-from .verifier import (ConjectureReport, ScanError,
-                       SelfCheckError, VERDICT_COUNTEREXAMPLE,
-                       VERDICT_UNDECIDED, report_to_json, resolve_r,
-                       scan_error_to_json, scan_lines, skipped_report,
-                       verify_conjecture)
+from .verifier import (ConjectureReport, ScanError, SelfCheckError,
+                       VERDICT_COUNTEREXAMPLE, VERDICT_UNDECIDED,
+                       parse_r_policy, report_for, report_to_json,
+                       scan_error_to_json, scan_lines)
 
 
 def _open_input(path: str):
@@ -45,18 +44,6 @@ def _first_graph(path: str):
             if line.strip():
                 return parse_graph6(line)
     raise Graph6Error("no graph6 line found in input", 0)
-
-
-def _parse_r(value: str, parser: argparse.ArgumentParser):
-    if value == "half-order":
-        return value
-    try:
-        r = int(value)
-    except ValueError:
-        parser.error(f"-r must be an integer or 'half-order', got {value!r}")
-    if r < 1:
-        parser.error("-r must be >= 1")
-    return r
 
 
 def _report_text(rep: ConjectureReport) -> str:
@@ -100,17 +87,14 @@ def _announce_counterexamples(reports) -> None:
                   file=sys.stderr)
 
 
-def _cmd_check(args, parser) -> int:
+def _cmd_check(args) -> int:
     g = _first_graph(args.graph)
-    r = resolve_r(g, _parse_r(args.r, parser))
-    if r is None:
-        rep = skipped_report(g)
-        # the null derived graph that the skipped report describes
-        kg = KneserGraph(g, 0, (), (), 0)
-    else:
-        kg = build_matching_kneser(g, r) if args.dot else None
-        rep = verify_conjecture(g, r, budget=args.budget, kg=kg)
+    rep = report_for(g, args.r, budget=args.budget)
     if args.dot:
+        # a skipped host (r = 0) gets the null derived graph its report
+        # describes
+        kg = (build_matching_kneser(g, rep.r) if rep.r
+              else KneserGraph(g, 0, (), (), 0))
         with open(args.dot, "w", encoding="ascii") as fh:
             fh.write(to_dot(kg))
     print(report_to_json(rep) if args.json else _report_text(rep))
@@ -118,13 +102,12 @@ def _cmd_check(args, parser) -> int:
     return _exit_code({rep.verdict}, False)
 
 
-def _cmd_scan(args, parser) -> int:
-    r_policy = _parse_r(args.r, parser)
+def _cmd_scan(args) -> int:
     verdicts = set()
     counterexamples = []  # the only reports kept past their output line
     had_error = False
     with _open_input(args.graph) as fh:
-        for rec in scan_lines(fh, r_policy, budget=args.budget):
+        for rec in scan_lines(fh, args.r, budget=args.budget):
             if isinstance(rec, ScanError):
                 had_error = True
                 print(scan_error_to_json(rec) if args.json
@@ -138,7 +121,7 @@ def _cmd_scan(args, parser) -> int:
     return _exit_code(verdicts, had_error)
 
 
-def _cmd_ex(args, parser) -> int:
+def _cmd_ex(args) -> int:
     g = _first_graph(args.graph)
     cert = ex_exact(g, args.r)
     kept = sorted(cert.edges)
@@ -149,7 +132,7 @@ def _cmd_ex(args, parser) -> int:
     return 0
 
 
-def _cmd_chi_index(args, parser) -> int:
+def _cmd_chi_index(args) -> int:
     g = _first_graph(args.graph)
     res = chromatic_index(g)
     print(f"chromatic_index={res.chromatic_index}")
@@ -157,7 +140,7 @@ def _cmd_chi_index(args, parser) -> int:
     return 0
 
 
-def _cmd_kneser(args, parser) -> int:
+def _cmd_kneser(args) -> int:
     g = _first_graph(args.graph)
     kg = build_matching_kneser(g, args.r)
     if args.dot:
@@ -177,6 +160,13 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _r_policy(value: str):
+    try:
+        return parse_r_policy(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mkg",
@@ -186,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify one graph")
     p_check.add_argument("-g", "--graph", required=True,
                          help="graph6 file, or - for stdin")
-    p_check.add_argument("-r", "--r", required=True,
+    p_check.add_argument("-r", "--r", type=_r_policy, required=True,
                          help="matching size, or 'half-order' for r = n/2")
     p_check.add_argument("--json", action="store_true",
                          help="emit the report as one JSON line")
@@ -200,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="verify every graph in a catalog")
     p_scan.add_argument("-g", "--graph", required=True,
                         help="graph6 file, or - for stdin")
-    p_scan.add_argument("-r", "--r", required=True,
+    p_scan.add_argument("-r", "--r", type=_r_policy, required=True,
                         help="matching size, or 'half-order'")
     p_scan.add_argument("--json", action="store_true",
                         help="emit JSON-lines reports")
@@ -228,10 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, parser)
+        return args.fn(args)
     except (Graph6Error, OSError, SelfCheckError) as exc:
         print(f"mkg: {exc}", file=sys.stderr)
         return 2

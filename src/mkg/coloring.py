@@ -260,7 +260,7 @@ def _dsatur_bnb(masks, n, clique, ub0, cols0, budget, first=False):
     return best_k, best_cols
 
 
-def _maximal_independent_sets(masks, n, cap):
+def _maximal_independent_sets(masks, n):
     """All maximal independent sets as vertex bitmasks (Bron-Kerbosch
     with pivoting on the complement)."""
     full = (1 << n) - 1
@@ -270,7 +270,7 @@ def _maximal_independent_sets(masks, n, cap):
     def bk(r, p, x):
         if p == 0 and x == 0:
             out.append(r)
-            if len(out) > cap:
+            if len(out) > _MIS_CAP:
                 raise _MisOverflow
             return
         # pivot: candidate from p|x with the most neighbors in p
@@ -308,7 +308,7 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
     Returns (k, colors); raises _MisOverflow if the MIS family is
     too large to enumerate (caller falls back to DSATUR).
     """
-    sets = _maximal_independent_sets(masks, n, _MIS_CAP)
+    sets = _maximal_independent_sets(masks, n)
     alpha = max(s.bit_count() for s in sets)
     covers = [[] for _ in range(n)]
     for idx, s in enumerate(sets):

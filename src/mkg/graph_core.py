@@ -45,11 +45,13 @@ class Graph:
         rows: the adjacency, one bitmask per vertex: bit w of rows[v] is
             set iff {v, w} is an edge.  Built with the graph; it is the
             only adjacency form, and a KneserGraph holds the same one.
+        edge_vertex_masks: one bitmask per edge over its two ends,
+            (1 << u) | (1 << v); the matching machinery reads it.
 
     The null graph (n=0) is legal and counts as connected.
     """
 
-    __slots__ = ("n", "edges", "m", "rows", "_evmask", "_hash",
+    __slots__ = ("n", "edges", "m", "rows", "edge_vertex_masks", "_hash",
                  "__weakref__")
 
     def __init__(self, n: int, edges=()):
@@ -73,7 +75,7 @@ class Graph:
         self.edges = tuple(canon)
         self.m = len(canon)
         self.rows = tuple(rows)
-        self._evmask = None
+        self.edge_vertex_masks = tuple((1 << u) | (1 << v) for u, v in canon)
         self._hash = hash((n, self.edges))
 
     def degree(self, v: int) -> int:
@@ -89,17 +91,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v >= 0 and bool(self.rows[u] >> v & 1)
-
-    @property
-    def edge_vertex_masks(self) -> tuple[int, ...]:
-        """Per-edge bitmask over vertices, evmask[i] = (1<<u) | (1<<v).
-
-        Computed once on first use; shared by the matching and Kneser
-        machinery.
-        """
-        if self._evmask is None:
-            self._evmask = tuple((1 << u) | (1 << v) for u, v in self.edges)
-        return self._evmask
 
     def __eq__(self, other):
         return (isinstance(other, Graph)
@@ -199,17 +190,6 @@ def open_graph6(path):
     with a Graph6Error like any other malformed graph6.
     """
     return open(path, "r", encoding="ascii", errors="surrogateescape")
-
-
-def read_graph6_file(path) -> list[Graph]:
-    """Parse every non-blank line of a graph6 file."""
-    graphs = []
-    with open_graph6(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                graphs.append(parse_graph6(line))
-    return graphs
 
 
 # ------------------------------------------------------------- generators --

@@ -184,15 +184,18 @@ def schonberger_check(g: Graph):
     return True, None
 
 
+def pairwise_intersect(matchings) -> bool:
+    """True iff every two of the given matchings share an edge; vacuously
+    true for fewer than two."""
+    masks = [sum(1 << e for e in mt) for mt in matchings]
+    return all(masks[i] & masks[j]
+               for i in range(len(masks)) for j in range(i + 1, len(masks)))
+
+
 def perfect_matchings_pairwise_intersect(g: Graph) -> bool:
     """True iff every two distinct perfect matchings share an edge.
 
     Vacuously true with at most one perfect matching.  For a snark of
     order 2r this is the mechanism that leaves KG(G, rK2) edgeless.
     """
-    masks = [sum(1 << e for e in pm) for pm in enumerate_perfect_matchings(g)]
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j] == 0:
-                return False
-    return True
+    return pairwise_intersect(enumerate_perfect_matchings(g))

@@ -23,6 +23,7 @@ from .extremal import ex_exact, validate_certificate
 from .graph_core import (Graph, Graph6Error, is_connected, open_graph6,
                          parse_graph6, write_graph6)
 from .kneser import build_matching_kneser
+from .matchings import pairwise_intersect
 
 VERDICT_HOLDS = "holds"
 VERDICT_COUNTEREXAMPLE = "counterexample"
@@ -72,8 +73,8 @@ class ScanError:
     error: str
 
 
-def verify_conjecture(g: Graph, r: int, budget: int = DEFAULT_BUDGET,
-                      kg=None) -> ConjectureReport:
+def verify_conjecture(g: Graph, r: int,
+                      budget: int = DEFAULT_BUDGET) -> ConjectureReport:
     """Compute both sides of the conjecture for (g, r), r >= 1.
 
     Verdict precedence: budget exhaustion gives "undecided" (exit code 3
@@ -81,17 +82,13 @@ def verify_conjecture(g: Graph, r: int, budget: int = DEFAULT_BUDGET,
     r = 1 gives "r-out-of-scope", both still reporting the computed
     sides; otherwise "counterexample" iff the sides differ.
 
-    kg may pass in build_matching_kneser(g, r) when the caller already
-    has it.  Before any report is returned the ex certificate, and the
-    coloring when one was found, are re-checked by independent code;
-    a failure raises SelfCheckError.
+    Before any report is returned the ex certificate, and the coloring
+    when one was found, are re-checked by independent code; a failure
+    raises SelfCheckError.
     """
     if r < 1:
         raise ValueError("verify_conjecture requires r >= 1")
-    if kg is None:
-        kg = build_matching_kneser(g, r)
-    elif kg.r != r or kg.base != g:
-        raise ValueError("kg is not KG(g, rK2) for this g and r")
+    kg = build_matching_kneser(g, r)
     cert = ex_exact(g, r)
     if not validate_certificate(g, cert):
         raise SelfCheckError(
@@ -113,12 +110,8 @@ def verify_conjecture(g: Graph, r: int, budget: int = DEFAULT_BUDGET,
             f"{chi}-coloring of KG({write_graph6(g)}, {r}K2) "
             "failed its re-check")
     if kg.n > 0 and kg.m == 0:
-        # re-derive edgelessness straight from the matchings: every pair
-        # of r-matchings must share an edge
-        masks = [sum(1 << e for e in mt) for mt in kg.vertices]
-        certs["pairwise_intersect"] = all(
-            masks[i] & masks[j]
-            for i in range(len(masks)) for j in range(i + 1, len(masks)))
+        # re-derive edgelessness straight from the matchings, not kg.rows
+        certs["pairwise_intersect"] = pairwise_intersect(kg.vertices)
     if undecided:
         verdict = VERDICT_UNDECIDED
     elif not is_connected(g):
@@ -136,8 +129,7 @@ def verify_conjecture(g: Graph, r: int, budget: int = DEFAULT_BUDGET,
         verdict=verdict, is_snark=snark, certificates=certs)
 
 
-def skipped_report(g: Graph, reason_verdict: str = VERDICT_OUT_OF_SCOPE,
-                   ) -> ConjectureReport:
+def skipped_report(g: Graph) -> ConjectureReport:
     """Report for a graph the r-policy skips (odd order under
     half-order).  No r exists, so r is recorded as 0 and the derived
     quantities are zeroed; rhs = m keeps the field invariant rhs = m -
@@ -147,30 +139,59 @@ def skipped_report(g: Graph, reason_verdict: str = VERDICT_OUT_OF_SCOPE,
         graph6=write_graph6(g), n=g.n, m=g.m, r=0,
         num_r_matchings=0, kneser_vertices=0, kneser_edges=0,
         chromatic_number=0, ex_value=0, rhs=g.m,
-        verdict=reason_verdict, is_snark=snark, certificates={})
+        verdict=VERDICT_OUT_OF_SCOPE, is_snark=snark, certificates={})
+
+
+def parse_r_policy(r_policy):
+    """An r-policy checked once: "half-order" (r = n/2) or an int r >= 1.
+
+    Takes an int (not a bool), a decimal string or "half-order"; raises
+    ValueError for anything else.
+    """
+    if r_policy == "half-order":
+        return r_policy
+    try:
+        if isinstance(r_policy, bool) or not isinstance(r_policy, (int, str)):
+            raise ValueError
+        r = int(r_policy)
+    except ValueError:
+        raise ValueError("r-policy must be an integer or 'half-order', "
+                         f"got {r_policy!r}") from None
+    if r < 1:
+        raise ValueError(f"r-policy must be >= 1, got {r}")
+    return r
 
 
 def resolve_r(g: Graph, r_policy):
-    """int r, or None when the policy yields none for this graph."""
-    if r_policy == "half-order":
-        if g.n % 2 == 1 or g.n == 0:
-            return None
-        return g.n // 2
-    r = int(r_policy)
-    if r < 1:
-        raise ValueError("fixed r policy requires r >= 1")
-    return r
+    """The r that a valid r-policy gives g, or None for an odd or empty
+    host under half-order."""
+    if r_policy != "half-order":
+        return r_policy
+    if g.n % 2 == 1 or g.n == 0:
+        return None
+    return g.n // 2
+
+
+def report_for(g: Graph, r_policy,
+               budget: int = DEFAULT_BUDGET) -> ConjectureReport:
+    """The report for g under a valid r-policy (see parse_r_policy):
+    skipped_report when the policy gives g no r, else verify_conjecture."""
+    r = resolve_r(g, r_policy)
+    if r is None:
+        return skipped_report(g)
+    return verify_conjecture(g, r, budget=budget)
 
 
 def scan_lines(lines, r_policy, budget: int = DEFAULT_BUDGET):
     """Reports for an iterable of graph6 lines, in input order.
 
-    r_policy is an int (fixed r) or the string "half-order" (r = n/2,
-    odd orders reported r-out-of-scope).  Blank lines are skipped.
-    Yields ConjectureReport and ScanError records, one per non-blank
-    line, pulling the next line only after the current record is
-    consumed, so the catalog is never held in memory whole.
+    r_policy is checked by parse_r_policy before the first line is
+    pulled.  Blank lines are skipped.  Yields ConjectureReport and
+    ScanError records, one per non-blank line, pulling the next line
+    only after the current record is consumed, so the catalog is never
+    held in memory whole.
     """
+    r_policy = parse_r_policy(r_policy)
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -180,11 +201,7 @@ def scan_lines(lines, r_policy, budget: int = DEFAULT_BUDGET):
         except Graph6Error as exc:
             yield ScanError(lineno, str(exc))
             continue
-        r = resolve_r(g, r_policy)
-        if r is None:
-            yield skipped_report(g)
-        else:
-            yield verify_conjecture(g, r, budget=budget)
+        yield report_for(g, r_policy, budget)
 
 
 def scan_catalog(path, r_policy, budget: int = DEFAULT_BUDGET):

@@ -238,6 +238,19 @@ class TestUsage:
         assert err.endswith(
             f"mkg {command}: error: argument --budget: {message}\n")
 
+    @pytest.mark.parametrize("command", ["check", "scan"])
+    @pytest.mark.parametrize("r, message", [
+        ("0", "r-policy must be >= 1, got 0"),
+        ("-3", "r-policy must be >= 1, got -3"),
+        ("two", "r-policy must be an integer or 'half-order', got 'two'")])
+    def test_bad_r(self, g6file, capsys, command, r, message):
+        with pytest.raises(SystemExit) as ei:
+            main([command, "-g", g6file(generate("cycle(5)")), "-r", r])
+        assert ei.value.code == 2
+        _, err = capsys.readouterr()
+        assert err.endswith(
+            f"mkg {command}: error: argument -r/--r: {message}\n")
+
     def test_ex_rejects_bad_r(self, g6file):
         with pytest.raises(SystemExit) as ei:
             main(["ex", "-g", g6file(generate("cycle(5)")), "-r", "0"])

@@ -24,6 +24,7 @@ from mkg.verifier import (
     VERDICT_NOT_CONNECTED,
     VERDICT_OUT_OF_SCOPE,
     VERDICT_UNDECIDED,
+    parse_r_policy,
     scan_error_to_json,
     skipped_report,
 )
@@ -169,6 +170,28 @@ class TestScan:
         with pytest.raises(ValueError):
             list(scan_lines(["A_"], 0))
 
+    @pytest.mark.parametrize("catalog", [
+        [write_graph6(generate("cycle(4)")),
+         write_graph6(generate("cycle(5)"))],
+        ["!!notgraph6", "~"],
+    ], ids=["parsable", "unparsable"])
+    @pytest.mark.parametrize("policy", [2.5, True, 0, -1, "two", None])
+    def test_bad_policy_raises_before_any_line(self, catalog, policy):
+        pulled = []
+
+        def lines():
+            for line in catalog:
+                pulled.append(line)
+                yield line
+
+        with pytest.raises(ValueError):
+            next(scan_lines(lines(), policy))
+        assert pulled == []
+
+    def test_parse_r_policy(self):
+        assert parse_r_policy(3) == parse_r_policy("3") == 3
+        assert parse_r_policy("half-order") == "half-order"
+
 
 class TestSelfCheck:
     def test_improper_coloring_raises(self, monkeypatch):
@@ -194,16 +217,6 @@ class TestSelfCheck:
         monkeypatch.setattr(verifier, "ex_exact", all_edges)
         with pytest.raises(verifier.SelfCheckError):
             verify_conjecture(generate("cycle(5)"), 2)
-
-    def test_prebuilt_kneser_graph_must_match(self):
-        g = generate("cycle(5)")
-        kg = build_matching_kneser(g, 2)
-        assert (report_to_json(verify_conjecture(g, 2, kg=kg))
-                == report_to_json(verify_conjecture(g, 2)))
-        with pytest.raises(ValueError):
-            verify_conjecture(g, 1, kg=kg)
-        with pytest.raises(ValueError):
-            verify_conjecture(generate("cycle(6)"), 2, kg=kg)
 
 
 class TestJson:
