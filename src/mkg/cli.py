@@ -20,8 +20,8 @@ from .graph_core import Graph6Error, open_graph6, parse_graph6
 from .kneser import KneserGraph, build_matching_kneser, to_dot
 from .verifier import (ConjectureReport, ScanError, SelfCheckError,
                        VERDICT_COUNTEREXAMPLE, VERDICT_UNDECIDED,
-                       parse_r_policy, report_for, report_to_json,
-                       scan_error_to_json, scan_lines)
+                       parse_decimal, parse_r_policy, report_for,
+                       report_to_json, scan_error_to_json, scan_lines)
 
 
 def _open_input(path: str):
@@ -152,7 +152,7 @@ def _cmd_kneser(args) -> int:
 
 def _positive_int(value: str) -> int:
     try:
-        n = int(value)
+        n = parse_decimal(value)
     except ValueError:
         raise argparse.ArgumentTypeError("must be an integer") from None
     if n < 1:
@@ -182,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the report as one JSON line")
     p_check.add_argument("--dot", metavar="OUT",
                          help="also write the Kneser graph as DOT to OUT")
-    p_check.add_argument("--budget", type=_positive_int,
-                         default=DEFAULT_BUDGET,
-                         help="coloring search node budget")
     p_check.set_defaults(fn=_cmd_check)
 
     p_scan = sub.add_parser("scan", help="verify every graph in a catalog")
@@ -194,10 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="matching size, or 'half-order'")
     p_scan.add_argument("--json", action="store_true",
                         help="emit JSON-lines reports")
-    p_scan.add_argument("--budget", type=_positive_int,
-                        default=DEFAULT_BUDGET,
-                        help="coloring search node budget")
     p_scan.set_defaults(fn=_cmd_scan)
+    for p in (p_check, p_scan):
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                       help="coloring search node budget")
 
     p_ex = sub.add_parser("ex", help="exact ex(G, rK2) with certificate")
     p_ex.add_argument("-g", "--graph", required=True)

@@ -28,13 +28,11 @@ rarest uncovered vertex is its lowest bit.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .graph_core import Graph
+from .graph_core import allow_recursion, bit_indices
 from .kneser import KneserGraph
-from .matchings import enumerate_matchings, has_matching_of_size
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -114,11 +112,8 @@ def _lower_bound_clique(masks: list[int], n: int, supports: list[int],
             if len(best) >= _CLIQUE_CAP:
                 return
             union = 0
-            rest = cand
-            while rest:
-                bit = rest & -rest
-                union |= supports[bit.bit_length() - 1]
-                rest ^= bit
+            for u in bit_indices(cand):
+                union |= supports[u]
             if len(cur) + union.bit_count() // per <= len(best):
                 return
             nodes += 1
@@ -172,7 +167,7 @@ def _dsatur_bnb(masks, n, clique, ub0, cols0, budget, first=False):
     lb = len(clique)
     # the search ends once it holds a coloring with this many colors
     enough = n if first else lb
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
+    allow_recursion(n)
     order = sorted(range(n), key=lambda u: (-masks[u].bit_count(), u))
     label = [0] * n
     for i, u in enumerate(order):
@@ -273,7 +268,8 @@ def _maximal_independent_sets(masks, n):
             if len(out) > _MIS_CAP:
                 raise _MisOverflow
             return
-        # pivot: candidate from p|x with the most neighbors in p
+        # pivot: candidate from p|x with the most neighbors in p (this walk
+        # and the one below run per node, where inline beat bit_indices)
         pu, best = -1, -1
         rest = p | x
         while rest:
@@ -293,7 +289,7 @@ def _maximal_independent_sets(masks, n):
             p ^= bit
             x |= bit
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
+    allow_recursion(n)
     bk(0, full, 0)
     return out
 
@@ -312,14 +308,12 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
     alpha = max(s.bit_count() for s in sets)
     covers = [[] for _ in range(n)]
     for idx, s in enumerate(sets):
-        rest = s
-        while rest:
-            bit = rest & -rest
-            covers[bit.bit_length() - 1].append(idx)
-            rest ^= bit
+        for v in bit_indices(s):
+            covers[v].append(idx)
     # a second copy of every set, relabelled by rarity (fewest sets
     # first, then index), makes the rarest uncovered vertex a lowest bit;
-    # the sets are sparse, so they are relabelled bit by bit
+    # the sets are sparse, so they are relabelled bit by bit, inline:
+    # _relabel's one string per row measured several times slower here
     rarity = sorted(range(n), key=lambda v: (len(covers[v]), v))
     rank = [0] * n
     for i, v in enumerate(rarity):
@@ -381,6 +375,7 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
             if best_k == lb:
                 return
 
+    allow_recursion(ub0)
     try:
         rec(full, full, 0)
     finally:
@@ -391,11 +386,7 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
         return best_k, list(cols0)
     colors = [-1] * n
     for ci, si in enumerate(best_sets):
-        rest = sets[si]
-        while rest:
-            bit = rest & -rest
-            w = bit.bit_length() - 1
-            rest ^= bit
+        for w in bit_indices(sets[si]):
             if colors[w] == -1:
                 colors[w] = ci
     # a minimum cover leaves no set without a private vertex, so every
@@ -436,28 +427,25 @@ def chromatic_number(kg, budget: int = DEFAULT_BUDGET):
     return k, Coloring(tuple(cols), k)
 
 
-def greedy_ex_coloring(g: Graph, r: int, extremal) -> Coloring:
-    """The greedy coloring behind the upper bound chi <= |E| - ex.
+def greedy_ex_coloring(kg: KneserGraph, extremal) -> Coloring:
+    """The greedy coloring of KG(G, rK2) behind chi <= |E| - ex.
 
-    Each r-matching is colored by the smallest-index edge it contains
-    outside extremal.edges; matchings sharing that edge intersect, hence
-    are never adjacent in KG(g, rK2), so the coloring is proper.  Colors
-    are compacted to 0..k-1 preserving relative edge order, giving at
-    most m - |extremal.edges| of them.
+    Each vertex of kg, an r-matching, is colored by the smallest-index
+    edge it contains outside extremal.edges; matchings sharing that edge
+    intersect, hence are never adjacent, so the coloring is proper.
+    Colors are compacted to 0..k-1 preserving relative edge order,
+    giving at most m - |extremal.edges| of them.
 
-    Raises InvalidCertificateError (carrying the violating matching) if
-    the certificate's edge set still contains an r-matching.
+    Raises InvalidCertificateError carrying the first r-matching, in
+    enumeration order, that lies inside the certificate's edge set.
     """
-    if r < 1:
-        raise ValueError("greedy_ex_coloring requires r >= 1")
-    witness = has_matching_of_size(
-        g, r, allowed=sum(1 << e for e in extremal.edges))
-    if witness is not None:
-        raise InvalidCertificateError(witness)
     ex_set = frozenset(extremal.edges)
     raw = []
-    for mt in enumerate_matchings(g, r):
-        raw.append(next(e for e in mt if e not in ex_set))
+    for mt in kg.vertices:
+        e = next((e for e in mt if e not in ex_set), None)
+        if e is None:
+            raise InvalidCertificateError(mt)
+        raw.append(e)
     remap = {e: c for c, e in enumerate(sorted(set(raw)))}
     return Coloring(tuple(remap[e] for e in raw), len(remap))
 

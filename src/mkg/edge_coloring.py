@@ -8,10 +8,9 @@ counterexample hangs on.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
-from .graph_core import Graph, bridges, is_connected, is_cubic
+from .graph_core import Graph, allow_recursion, bridges, is_connected, is_cubic
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ def _backtrack_edge_coloring(g: Graph, k: int):
             used_at[v] &= ~(1 << c)
         return False
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), len(order) + 1000))
+    allow_recursion(len(order))
     return color if rec(0, len(star0) - 1) else None
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import Graph, bit_indices
+from .graph_core import Graph, allow_recursion, bit_indices
 from .matchings import _augment, has_matching_of_size
 
 
@@ -109,6 +109,7 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
         match[:] = saved
         rec(i + 1, kept_mask, kept_count, nu)
 
+    allow_recursion(m)
     rec(0, 0, 0, 0)
     return ExtremalCertificate(frozenset(bit_indices(best_mask)), best_value, r)
 

@@ -13,6 +13,7 @@ inputs are desk-scale catalogs of small graphs.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left
 
 
@@ -32,6 +33,14 @@ def bit_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def allow_recursion(depth: int) -> None:
+    """Let a recursive search nest depth frames: raise the recursion
+    limit to depth plus 1000 frames of headroom, never lowering it."""
+    need = depth + 1000
+    if sys.getrecursionlimit() < need:
+        sys.setrecursionlimit(need)
 
 
 class Graph:

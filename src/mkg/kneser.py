@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph_core import Graph, disjoint_matching
+from .graph_core import Graph, bit_indices, disjoint_matching
 from .matchings import enumerate_matchings
 
 
@@ -181,10 +181,8 @@ def to_dot(kg: KneserGraph) -> str:
         label = ",".join(f"{u}-{v}" for u, v in pairs)
         lines.append(f'  {i} [label="{label}"];')
     for i, row in enumerate(kg.rows):
-        rest = row >> (i + 1) << (i + 1)  # each edge once, from its low end
-        while rest:
-            bit = rest & -rest
-            lines.append(f"  {i} -- {bit.bit_length() - 1};")
-            rest ^= bit
+        # each edge once, from its low end
+        for j in bit_indices(row >> (i + 1) << (i + 1)):
+            lines.append(f"  {i} -- {j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass, field
 
 from .coloring import (BudgetExhausted, DEFAULT_BUDGET, chromatic_number,
@@ -83,8 +84,9 @@ def verify_conjecture(g: Graph, r: int,
     sides; otherwise "counterexample" iff the sides differ.
 
     Before any report is returned the ex certificate, and the coloring
-    when one was found, are re-checked by independent code; a failure
-    raises SelfCheckError.
+    when one was found, are re-checked by independent code, and chi (or,
+    when undecided, its lower bound) is checked against the theorem
+    chi <= rhs; a failure raises SelfCheckError.
     """
     if r < 1:
         raise ValueError("verify_conjecture requires r >= 1")
@@ -98,21 +100,25 @@ def verify_conjecture(g: Graph, r: int,
     certs = {"extremal_edges": sorted(cert.edges)}
     try:
         chi, col = chromatic_number(kg, budget=budget)
-        certs["coloring"] = list(col.colors)
-        undecided = False
     except BudgetExhausted as exc:
-        chi = -1
+        chi, lower = -1, exc.lower_bound  # -1 marks chi undecided
         certs["coloring"] = []
         certs["chi_bounds"] = [exc.lower_bound, exc.upper_bound]
-        undecided = True
-    if not undecided and (col.k != chi or not validate_coloring(kg, col)):
+    else:
+        if col.k != chi or not validate_coloring(kg, col):
+            raise SelfCheckError(
+                f"{chi}-coloring of KG({write_graph6(g)}, {r}K2) "
+                "failed its re-check")
+        certs["coloring"] = list(col.colors)
+        lower = chi
+    if lower > rhs:
         raise SelfCheckError(
-            f"{chi}-coloring of KG({write_graph6(g)}, {r}K2) "
-            "failed its re-check")
+            f"chi of KG({write_graph6(g)}, {r}K2) is at least {lower}, "
+            f"above the theorem's bound rhs = {rhs}")
     if kg.n > 0 and kg.m == 0:
         # re-derive edgelessness straight from the matchings, not kg.rows
         certs["pairwise_intersect"] = pairwise_intersect(kg.vertices)
-    if undecided:
+    if chi == -1:
         verdict = VERDICT_UNDECIDED
     elif not is_connected(g):
         verdict = VERDICT_NOT_CONNECTED
@@ -142,18 +148,27 @@ def skipped_report(g: Graph) -> ConjectureReport:
         verdict=VERDICT_OUT_OF_SCOPE, is_snark=snark, certificates={})
 
 
+def parse_decimal(text: str) -> int:
+    """The int written as ASCII digits, after an optional "-".  Unlike
+    int() it takes no "+", "_", surrounding space or non-ASCII digit;
+    raises ValueError for those and anything else."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_r_policy(r_policy):
     """An r-policy checked once: "half-order" (r = n/2) or an int r >= 1.
 
-    Takes an int (not a bool), a decimal string or "half-order"; raises
-    ValueError for anything else.
+    Takes an int (not a bool), a string parse_decimal accepts or
+    "half-order"; raises ValueError for anything else.
     """
     if r_policy == "half-order":
         return r_policy
     try:
         if isinstance(r_policy, bool) or not isinstance(r_policy, (int, str)):
             raise ValueError
-        r = int(r_policy)
+        r = r_policy if isinstance(r_policy, int) else parse_decimal(r_policy)
     except ValueError:
         raise ValueError("r-policy must be an integer or 'half-order', "
                          f"got {r_policy!r}") from None
@@ -162,24 +177,16 @@ def parse_r_policy(r_policy):
     return r
 
 
-def resolve_r(g: Graph, r_policy):
-    """The r that a valid r-policy gives g, or None for an odd or empty
-    host under half-order."""
-    if r_policy != "half-order":
-        return r_policy
-    if g.n % 2 == 1 or g.n == 0:
-        return None
-    return g.n // 2
-
-
 def report_for(g: Graph, r_policy,
                budget: int = DEFAULT_BUDGET) -> ConjectureReport:
     """The report for g under a valid r-policy (see parse_r_policy):
-    skipped_report when the policy gives g no r, else verify_conjecture."""
-    r = resolve_r(g, r_policy)
-    if r is None:
-        return skipped_report(g)
-    return verify_conjecture(g, r, budget=budget)
+    skipped_report when half-order gives g no r (odd or zero order),
+    else verify_conjecture."""
+    if r_policy == "half-order":
+        if g.n % 2 == 1 or g.n == 0:
+            return skipped_report(g)
+        r_policy = g.n // 2
+    return verify_conjecture(g, r_policy, budget=budget)
 
 
 def scan_lines(lines, r_policy, budget: int = DEFAULT_BUDGET):

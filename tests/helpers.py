@@ -5,6 +5,8 @@ plain backtracking with no heuristics, sharing no code with the package
 search engines they check.
 """
 
+import os
+import subprocess
 import sys
 from functools import lru_cache
 from itertools import combinations
@@ -14,6 +16,19 @@ from random import Random
 from mkg import BudgetExhausted, Graph, parse_graph6
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(argv, env=None, **kwargs):
+    """Run argv as a new process with this checkout's mkg importable and
+    env added to the environment; stdout and stderr are captured.  A new
+    interpreter starts at its default recursion limit, whatever earlier
+    tests raised it to."""
+    full_env = dict(os.environ, **(env or {}))
+    full_env["PYTHONPATH"] = (str(SRC) + os.pathsep
+                              + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(argv, capture_output=True, env=full_env,
+                          timeout=60, **kwargs)
 
 
 def load_fixture(name):

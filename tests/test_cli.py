@@ -1,14 +1,12 @@
 import io
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import mkg
-from mkg import build_matching_kneser, generate, to_dot, write_graph6
+from helpers import run_fresh
+from mkg import (build_matching_kneser, complete, generate, to_dot,
+                 write_graph6)
 from mkg.cli import main
 from mkg.verifier import report_from_json, report_to_json
 
@@ -228,7 +226,9 @@ class TestUsage:
     @pytest.mark.parametrize("command", ["check", "scan"])
     @pytest.mark.parametrize("budget, message", [
         ("abc", "must be an integer"), ("1.5", "must be an integer"),
-        ("0", "must be >= 1")])
+        ("0", "must be >= 1"), ("1_000", "must be an integer"),
+        ("+5", "must be an integer"), (" 5 ", "must be an integer"),
+        ("\u0665", "must be an integer")])
     def test_bad_budget(self, g6file, capsys, command, budget, message):
         with pytest.raises(SystemExit) as ei:
             main([command, "-g", g6file(generate("cycle(5)")), "-r", "2",
@@ -242,7 +242,12 @@ class TestUsage:
     @pytest.mark.parametrize("r, message", [
         ("0", "r-policy must be >= 1, got 0"),
         ("-3", "r-policy must be >= 1, got -3"),
-        ("two", "r-policy must be an integer or 'half-order', got 'two'")])
+        ("two", "r-policy must be an integer or 'half-order', got 'two'"),
+        ("1_0", "r-policy must be an integer or 'half-order', got '1_0'"),
+        ("+3", "r-policy must be an integer or 'half-order', got '+3'"),
+        (" 2 ", "r-policy must be an integer or 'half-order', got ' 2 '"),
+        ("\u0663",
+         "r-policy must be an integer or 'half-order', got '\u0663'")])
     def test_bad_r(self, g6file, capsys, command, r, message):
         with pytest.raises(SystemExit) as ei:
             main([command, "-g", g6file(generate("cycle(5)")), "-r", r])
@@ -264,12 +269,9 @@ class TestUsage:
 ], ids=["scan", "check"])
 def test_non_ascii_stdin_is_parse_error(command, out, err):
     # a strict UTF-8 stdin must not turn a bad byte into a traceback
-    src = str(Path(mkg.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
-               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
+    proc = run_fresh(
         [sys.executable, "-m", "mkg", command, "-g", "-", "-r", "2"],
-        input=b"D\xff\n", capture_output=True, env=env, timeout=60)
+        env={"PYTHONIOENCODING": "utf-8:strict"}, input=b"D\xff\n")
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
         2, out, err)
 
@@ -277,11 +279,31 @@ def test_non_ascii_stdin_is_parse_error(command, out, err):
 @pytest.mark.parametrize("command", ["scan", "check"])
 def test_closed_stdin_is_input_error(command):
     # with fd 0 closed Python sets sys.stdin to None
-    src = str(Path(mkg.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        ["sh", "-c", f'"$0" -m mkg {command} -g - -r 2 <&-', sys.executable],
-        capture_output=True, env=env, timeout=60)
+    proc = run_fresh(
+        ["sh", "-c", f'"$0" -m mkg {command} -g - -r 2 <&-', sys.executable])
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
         2, "", "mkg: stdin is closed\n")
+
+
+class TestDeepSearch:
+    """K46 has 1,035 edges, and ex_exact recurses once per edge: deeper
+    than the interpreter's default recursion limit, which a fresh process
+    starts at."""
+
+    @pytest.fixture
+    def k46(self, tmp_path):
+        path = tmp_path / "k46.g6"
+        path.write_text(write_graph6(complete(46)) + "\n")
+        return str(path)
+
+    def test_ex(self, k46):
+        proc = run_fresh([sys.executable, "-m", "mkg", "ex", "-g", k46,
+                          "-r", "1"])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert "ex_value=0" in proc.stdout.decode().splitlines()
+
+    def test_check(self, k46):
+        proc = run_fresh([sys.executable, "-m", "mkg", "check", "-g", k46,
+                          "-r", "1", "--json"])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert json.loads(proc.stdout)["verdict"] == "r-out-of-scope"

@@ -29,6 +29,7 @@ from mkg.coloring import (
     _lower_bound_clique,
 )
 from mkg.extremal import ExtremalCertificate, ex_exact
+from mkg.matchings import has_matching_of_size
 
 
 class TestConventions:
@@ -378,16 +379,16 @@ class TestGreedyExColoring:
     def test_petersen_r5(self):
         g = generate("petersen")
         cert = ex_exact(g, 5)
-        col = greedy_ex_coloring(g, 5, cert)
         kg = build_matching_kneser(g, 5)
+        col = greedy_ex_coloring(kg, cert)
         assert validate_coloring(kg, col)
         assert col.k <= g.m - cert.value
 
     def test_c5_r2(self):
         g = generate("cycle(5)")
         cert = ex_exact(g, 2)
-        col = greedy_ex_coloring(g, 2, cert)
         kg = build_matching_kneser(g, 2)
+        col = greedy_ex_coloring(kg, cert)
         assert validate_coloring(kg, col)
         assert col.k <= g.m - cert.value
         assert chromatic_number(kg)[0] <= col.k
@@ -395,24 +396,21 @@ class TestGreedyExColoring:
     def test_empty_kneser(self):
         g = generate("star(3)")
         cert = ex_exact(g, 2)  # all edges survive, nu = 1
-        col = greedy_ex_coloring(g, 2, cert)
+        col = greedy_ex_coloring(build_matching_kneser(g, 2), cert)
         assert col.colors == () and col.k == 0
 
     def test_invalid_certificate_rejected(self):
         g = generate("cycle(5)")
         bogus = ExtremalCertificate(frozenset({0, 1, 2, 3, 4}), 5, 2)
         with pytest.raises(InvalidCertificateError) as ei:
-            greedy_ex_coloring(g, 2, bogus)
+            greedy_ex_coloring(build_matching_kneser(g, 2), bogus)
         w = ei.value.matching
         assert len(w) == 2
         u1, v1 = g.edges[w[0]]
         u2, v2 = g.edges[w[1]]
         assert not {u1, v1} & {u2, v2}
-
-    def test_rejects_r_zero(self):
-        g = generate("cycle(5)")
-        with pytest.raises(ValueError):
-            greedy_ex_coloring(g, 0, ExtremalCertificate(frozenset(), 0, 0))
+        # the witness the certificate check's backtracker finds first
+        assert w == has_matching_of_size(g, 2, allowed=0b11111)
 
     def test_random_hosts_bound_holds(self):
         rng = random.Random(64)
@@ -421,8 +419,8 @@ class TestGreedyExColoring:
             if g.m < 2:
                 continue
             cert = ex_exact(g, 2)
-            col = greedy_ex_coloring(g, 2, cert)
             kg = build_matching_kneser(g, 2)
+            col = greedy_ex_coloring(kg, cert)
             assert validate_coloring(kg, col)
             assert col.k <= g.m - cert.value
             if kg.n:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from helpers import (
     brute_ex_multi,
     load_fixture,
     random_graph,
+    run_fresh,
 )
 from mkg import (
     ExtremalCertificate,
@@ -206,3 +208,15 @@ class TestValidateCertificate:
         assert validate_certificate(g, cert)
         assert not validate_certificate(
             g, ExtremalCertificate(frozenset(range(g.m)), g.m, 5))
+
+
+def test_deep_star_at_default_recursion_limit():
+    # one frame per edge: 1,100 edges nest deeper than the default limit,
+    # which a fresh interpreter starts at
+    code = ("from mkg import ex_exact, star, validate_certificate\n"
+            "g = star(1100)\n"
+            "cert = ex_exact(g, 2)\n"
+            "print(cert.value, validate_certificate(g, cert))\n")
+    proc = run_fresh([sys.executable, "-c", code])
+    assert (proc.returncode, proc.stdout.decode()) == (0, "1100 True\n"), \
+        proc.stderr.decode()

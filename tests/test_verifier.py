@@ -191,6 +191,10 @@ class TestScan:
     def test_parse_r_policy(self):
         assert parse_r_policy(3) == parse_r_policy("3") == 3
         assert parse_r_policy("half-order") == "half-order"
+        # only ASCII digits: int() would take all of these
+        for text in ("1_0", "+3", " 2 ", "2\n", "\u0663"):
+            with pytest.raises(ValueError):
+                parse_r_policy(text)
 
 
 class TestSelfCheck:
@@ -206,6 +210,31 @@ class TestSelfCheck:
             verify_conjecture(generate("cycle(5)"), 2)  # KG is a 5-cycle
         # an edgeless Kneser graph really is 1-colorable
         assert verify_conjecture(generate("petersen"), 5).chromatic_number == 1
+
+    def test_chi_above_rhs_raises(self, monkeypatch):
+        from mkg import Coloring, validate_coloring
+        import mkg.verifier as verifier
+
+        # a proper 4-coloring of KG(C5, 2K2), whose rhs is 3: without the
+        # theorem check it reads as a counterexample
+        four = Coloring((0, 0, 1, 2, 3), 4)
+        g = generate("cycle(5)")
+        assert validate_coloring(build_matching_kneser(g, 2), four)
+        monkeypatch.setattr(verifier, "chromatic_number",
+                            lambda kg, budget: (4, four))
+        with pytest.raises(verifier.SelfCheckError, match="rhs = 3"):
+            verify_conjecture(g, 2)
+
+    def test_lower_bound_above_rhs_raises(self, monkeypatch):
+        from mkg import BudgetExhausted
+        import mkg.verifier as verifier
+
+        def stuck(kg, budget):
+            raise BudgetExhausted(4, 5, budget)
+
+        monkeypatch.setattr(verifier, "chromatic_number", stuck)
+        with pytest.raises(verifier.SelfCheckError, match="at least 4"):
+            verify_conjecture(generate("cycle(5)"), 2)
 
     def test_bad_ex_certificate_raises(self, monkeypatch):
         from mkg import ExtremalCertificate
