@@ -2,15 +2,28 @@
 an r-matching.
 
 The search is a branch and bound over edges in index order, deciding
-keep or delete (keep branch first).  Two prunes carry it: a branch dies
-the moment the kept set contains an r-matching, and a branch dies when
-kept + undecided cannot beat the incumbent.  The "has an r-matching"
-test is incremental: the search carries a maximum matching of the kept
-set down the keep branch, and since one more edge raises the matching
-number by at most one, a single augmenting-path search (the blossom
-search of matchings._augment; Berge's theorem says it is enough)
-decides each keep.  validate_certificate re-checks the result with the
-matchings backtracker instead, a code path the search does not use.
+keep or delete (keep branch first).  A branch dies the moment the kept
+set contains an r-matching, and it dies when one of three upper bounds
+on its best leaf cannot beat the incumbent:
+
+- room: kept + undecided edges, since a leaf keeps at most all of them.
+- forced deletions: once the kept set has a matching of r - 1 edges,
+  an undecided edge missing all of its vertices would complete an
+  r-matching, so no leaf below keeps it; room minus their count.
+- degree cap: by Gallai-Edmonds, every edge of a graph with
+  nu <= r - 1 touches a set S of s <= r - 1 vertices or lies inside a
+  component of the rest, and those components hold at most r - 1 - s
+  matching edges.  The s largest degrees of kept + undecided bound the
+  first part, the densest such components (Erdos-Gallai) the second;
+  the maximum over s bounds every leaf.
+
+The "has an r-matching" test is incremental: the search carries a
+maximum matching of the kept set down the keep branch, and since one
+more edge raises the matching number by at most one, a single
+augmenting-path search (the blossom search of matchings._augment;
+Berge's theorem says it is enough) decides each keep.
+validate_certificate re-checks the result with the matchings
+backtracker instead, a code path the search does not use.
 """
 
 from __future__ import annotations
@@ -58,6 +71,24 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
     the first optimum in search order; unseeded, that is the optimum
     whose keep indicator vector (edge 0 first) is lexicographically
     greatest.
+
+    A node is cut when one of three upper bounds on the final set F
+    (kept edges K plus some of the undecided ones, nu(F) <= k = r-1)
+    cannot beat the incumbent:
+
+    - room: |K| + the undecided edges, since F keeps at most all of them.
+    - forced deletions: once the carried matching has k edges, an
+      undecided edge with both ends unmatched would complete an
+      r-matching with it, so no such edge is in F; room minus them.
+    - degree cap: F is a subgraph of P = K + undecided with nu(F) <= k,
+      so _degree_cap over P's degrees bounds |F| (its docstring gives
+      the Gallai-Edmonds argument).  Only the delete branch changes P.
+      The cap is never below C(2r-1, 2), so it is skipped when that is
+      at least m.
+
+    None cuts a subtree holding a strictly better leaf, so the search
+    meets the same incumbents, and returns the same set, as with the
+    room bound alone.
     """
     if r < 1:
         raise ValueError("ex_exact requires r >= 1")
@@ -70,9 +101,18 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
         best_value, best_mask = -1, 0
 
     n = g.n
+    k = r - 1
     edges = g.edges
     rows = [0] * n  # adjacency bitmasks of the kept set K
     match = [-1] * n  # a maximum matching of K; nu is its size
+    deg = [g.degree(v) for v in range(n)]  # degrees in P = K + undecided
+    incident = [0] * n  # edge bitmask at each vertex
+    for e, (a, b) in enumerate(edges):
+        incident[a] |= 1 << e
+        incident[b] |= 1 << e
+    # at s = 0 the cap is k(2k+1) = C(2r-1, 2), so it never undercuts
+    # room (at most m) unless that is below m
+    capped = k * (2 * k + 1) < m
 
     def grows(a: int, b: int) -> bool:
         """With (a, b) just added to K, grow match by one edge if nu(K)
@@ -88,10 +128,20 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
         return any(_augment(n, rows, match, v)
                    for v in range(n) if match[v] == -1)
 
-    def rec(i: int, kept_mask: int, kept_count: int, nu: int) -> None:
+    def rec(i: int, kept_mask: int, kept_count: int, nu: int,
+            cap: int) -> None:
         nonlocal best_value, best_mask
-        if kept_count + (m - i) <= best_value:
+        room = kept_count + (m - i)
+        if room <= best_value or cap <= best_value:
             return
+        if nu == k:
+            blocked = 0  # edges at a matched vertex
+            for v in range(n):
+                if match[v] != -1:
+                    blocked |= incident[v]
+            forced = ((1 << m) - (1 << i)) & ~blocked
+            if room - forced.bit_count() <= best_value:
+                return
         if i == m:
             # strictly better than the incumbent by the prune above
             best_value = kept_count
@@ -103,15 +153,51 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
         rows[b] |= 1 << a
         kept_nu = nu + grows(a, b)
         if kept_nu < r:
-            rec(i + 1, kept_mask | (1 << i), kept_count + 1, kept_nu)
+            rec(i + 1, kept_mask | (1 << i), kept_count + 1, kept_nu, cap)
         rows[a] ^= 1 << b
         rows[b] ^= 1 << a
         match[:] = saved
-        rec(i + 1, kept_mask, kept_count, nu)
+        if room - 1 <= best_value:  # the delete child's room; spares a cap
+            return
+        deg[a] -= 1
+        deg[b] -= 1
+        rec(i + 1, kept_mask, kept_count, nu,
+            _degree_cap(deg, k) if capped else m)
+        deg[a] += 1
+        deg[b] += 1
 
     allow_recursion(m)
-    rec(0, 0, 0, 0)
+    rec(0, 0, 0, 0, _degree_cap(deg, k) if capped else m)
     return ExtremalCertificate(frozenset(bit_indices(best_mask)), best_value, r)
+
+
+def _degree_cap(deg: list[int], k: int) -> int:
+    """Most edges a subgraph F of a graph P with degrees deg can have
+    when nu(F) <= k.
+
+    Take S = A(F) of the Gallai-Edmonds decomposition, s = |S|.  Each
+    component of F - S is factor-critical (2j + 1 vertices for its j
+    matching edges) or has a perfect matching (2j vertices), and
+    nu(F) = s + the components' j, so s <= k and the j sum to at most
+    k - s.  A component then has at most j(2j + 1) edges, a count
+    superadditive in j, so the components hold at most
+    (k - s)(2(k - s) + 1) edges.  The edges touching S number at most
+    the sum of the s largest degrees, and, since every vertex of S has
+    a neighbour in F, at most C(s, 2) + s(n' - s) on the n'
+    non-isolated vertices of P.  The maximum over s bounds |F|.
+    """
+    top = sorted(deg, reverse=True)
+    live = len(top) - top.count(0)
+    best = k * (2 * k + 1)  # s = 0
+    touching = 0
+    for s in range(1, min(k, live) + 1):
+        touching += top[s - 1]
+        spanned = s * (s - 1) // 2 + s * (live - s)
+        j = k - s
+        bound = (touching if touching < spanned else spanned) + j * (2 * j + 1)
+        if bound > best:
+            best = bound
+    return best
 
 
 def validate_certificate(g: Graph, cert: ExtremalCertificate) -> bool:

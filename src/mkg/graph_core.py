@@ -239,7 +239,8 @@ def disjoint_matching(n: int) -> Graph:
     return Graph(2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
 
 
-_GEN_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*(\d+)\s*\))?\s*$")
+# [0-9], not \d: \d also matches non-ASCII digits such as "٣"
+_GEN_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([0-9]+)\s*\))?\s*$")
 
 _GENERATORS = {
     "petersen": (petersen, False),

@@ -13,7 +13,8 @@ from itertools import combinations
 from pathlib import Path
 from random import Random
 
-from mkg import BudgetExhausted, Graph, parse_graph6
+from mkg import BudgetExhausted, Graph, parse_graph6, star_removal_bound
+from mkg.matchings import _augment
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -194,6 +195,48 @@ def brute_ex_keep_first(g: Graph, r: int) -> frozenset:
 
 def brute_ex(g: Graph, r: int) -> int:
     return brute_ex_multi(g, [r])[r]
+
+
+def ref_ex_exact(g: Graph, r: int):
+    """(edges, value) of mkg.extremal.ex_exact, by its keep/delete search
+    with the room prune alone: no forced-deletion count, no degree cap.
+    The package search must meet the same incumbents, so it must return
+    the same set."""
+    m, n = g.m, g.n
+    seed = star_removal_bound(g, r)
+    best = [seed.value, sum(1 << e for e in seed.edges)] if seed else [-1, 0]
+    rows = [0] * n
+    match = [-1] * n
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), m + 1000))
+
+    def grows(a, b):
+        if match[a] == -1 and match[b] == -1:
+            match[a], match[b] = b, a
+            return True
+        roots = [v for v in (a, b) if match[v] == -1] or [
+            v for v in range(n) if match[v] == -1]
+        return any(_augment(n, rows, match, v) for v in roots)
+
+    def rec(i, kept_mask, kept_count, nu):
+        if kept_count + (m - i) <= best[0]:
+            return
+        if i == m:
+            best[:] = [kept_count, kept_mask]
+            return
+        a, b = g.edges[i]
+        saved = match[:]
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+        kept_nu = nu + grows(a, b)
+        if kept_nu < r:
+            rec(i + 1, kept_mask | (1 << i), kept_count + 1, kept_nu)
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+        match[:] = saved
+        rec(i + 1, kept_mask, kept_count, nu)
+
+    rec(0, 0, 0, 0)
+    return frozenset(e for e in range(m) if best[1] >> e & 1), best[0]
 
 
 def reachability_connected(g: Graph) -> bool:

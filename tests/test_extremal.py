@@ -1,8 +1,11 @@
+import hashlib
 import random
 import sys
+from math import comb
 
 import pytest
 
+import helpers
 import mkg.extremal
 import mkg.matchings
 from helpers import (
@@ -11,16 +14,19 @@ from helpers import (
     brute_ex_multi,
     load_fixture,
     random_graph,
+    ref_ex_exact,
     run_fresh,
 )
 from mkg import (
     ExtremalCertificate,
+    Graph,
     ex_exact,
     generate,
     matching_number,
     star_removal_bound,
     validate_certificate,
 )
+from mkg.extremal import _degree_cap
 
 
 class TestStarRemoval:
@@ -169,15 +175,114 @@ class TestExExact:
         assert augmented.count(True) >= 1000
         assert augmented.count(False) >= 1000
 
+    def test_against_reference_search_random(self):
+        # the forced-deletion count and the degree cap only cut subtrees
+        # with no strictly better leaf, so the pruned search must return
+        # the very set the room-only search returns
+        rng = random.Random(8080)
+        cases = 0
+        while cases < 2000:
+            n = rng.randrange(1, 11)
+            g = random_graph(rng, n, rng.random())
+            if g.m > 18:
+                continue
+            for r in range(1, n // 2 + 2):  # n = 2r: the star seed
+                cert = ex_exact(g, r)
+                assert (cert.edges, cert.value) == ref_ex_exact(g, r), (
+                    g.edges, r)
+                cases += 1
+
+    def test_against_reference_search_fixtures(self):
+        for name in ("petersen.g6", "blanusa_1.g6", "blanusa_2.g6",
+                     "flower_j5.g6", "cubic_bridgeless_n14.g6",
+                     "connected_n7.g6"):
+            for g in load_fixture(name):
+                for r in {2, 3, g.n // 2} - {0}:
+                    cert = ex_exact(g, r)
+                    assert (cert.edges, cert.value) == ref_ex_exact(g, r), (
+                        name, g.edges, r)
+
+    def test_prunes_cut_the_blossom_searches(self, monkeypatch):
+        # both bounds beyond room must fire: at r = 2 the degree cap ends
+        # these searches soon after their first leaf, at r = 3 the forced
+        # deletions do most of the cutting
+        calls = {"search": 0, "reference": 0}
+
+        def spy(key, augment):
+            def counted(*args):
+                calls[key] += 1
+                return augment(*args)
+            return counted
+
+        monkeypatch.setattr(mkg.extremal, "_augment",
+                            spy("search", mkg.extremal._augment))
+        monkeypatch.setattr(helpers, "_augment",
+                            spy("reference", helpers._augment))
+        hosts = [load_fixture(name)[0]
+                 for name in ("petersen.g6", "blanusa_1.g6", "flower_j5.g6")]
+        for r in (2, 3):
+            calls.update(search=0, reference=0)
+            for g in hosts:
+                ex_exact(g, r)
+                ref_ex_exact(g, r)
+            assert 4 * calls["search"] < calls["reference"], (r, calls)
+
+    def test_claim_workload_certificates(self):
+        # the certificate of every connected host with n <= 7 at r = 2
+        # and r = 3, pinned before the forced-deletion count and the
+        # degree cap joined the room prune
+        out = []
+        for r in (2, 3):
+            for g in load_fixture("connected_n7.g6"):
+                cert = ex_exact(g, r)
+                out.append((sorted(cert.edges), cert.value))
+        assert len(out) == 1992
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "011c4c40d516512adc7e6944029e3b271036d429c8a482a405e2f4ae308c5be1")
+
     def test_certificate_subgraph_nu(self):
         rng = random.Random(5150)
         for _ in range(30):
             g = random_graph(rng, rng.randrange(3, 8), 0.7)
             for r in (2, 3):
                 cert = ex_exact(g, r)
-                from mkg import Graph
                 sub = Graph(g.n, [g.edges[e] for e in cert.edges])
                 assert matching_number(sub) <= r - 1
+
+
+class TestDegreeCap:
+    def test_erdos_gallai_on_complete_graphs(self):
+        # on K_n with n >= 2k+1 the cap is exactly ex(K_n, (k+1)K2),
+        # max{C(2k+1, 2), C(k, 2) + k(n-k)} (Erdos-Gallai 1959)
+        for n in range(1, 16):
+            for k in range((n - 1) // 2 + 1):
+                want = max(comb(2 * k + 1, 2), comb(k, 2) + k * (n - k))
+                assert _degree_cap([n - 1] * n, k) == want, (n, k)
+
+    def test_bounds_ex_from_above(self):
+        rng = random.Random(4242)
+        for _ in range(150):
+            n = rng.randrange(1, 9)
+            g = random_graph(rng, n, rng.random())
+            if g.m > 14:
+                continue
+            degs = [g.degree(v) for v in range(n)]
+            exs = brute_ex_multi(g, range(1, n // 2 + 2))
+            for r, value in exs.items():
+                assert _degree_cap(degs, r - 1) >= value, (g.edges, r)
+
+    def test_tight_at_a_middle_s(self):
+        # a hub of degree 9 and a disjoint triangle, nu = 2: at k = 2 the
+        # maximum sits at s = 1, the hub's 9 edges plus a triangle's 3
+        g = Graph(13, [(0, v) for v in range(1, 10)]
+                  + [(10, 11), (10, 12), (11, 12)])
+        degs = [g.degree(v) for v in range(g.n)]
+        assert _degree_cap(degs, 2) == brute_ex(g, 3) == 12
+
+    def test_isolated_vertices_do_not_count(self):
+        # K10 and five isolated vertices, k = 2: the two top vertices
+        # touch at most C(2, 2) + 2 * 8 = 17 edges, not 1 + 2 * 13
+        assert _degree_cap([9] * 10 + [0] * 5, 2) == 17
 
 
 class TestValidateCertificate:

@@ -138,6 +138,14 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate("cycle")  # missing argument
 
+    def test_ascii_digits_only(self):
+        assert generate("cycle(3)") == generate("cycle( 3 )")
+        assert generate("cycle(3)").m == 3
+        for spec in ("cycle(\u0663)", "complete(\uff15)", "star(1_0)",
+                     "cycle(+3)"):
+            with pytest.raises(ValueError):
+                generate(spec)
+
 
 class TestConnectivity:
     def test_examples(self):
