@@ -6,8 +6,9 @@ counterexamples.
 """
 
 from .graph_core import (Graph, Graph6Error, bridges, complete, cycle,
-                         disjoint_matching, generate, is_connected, is_cubic,
-                         parse_graph6, petersen, star, write_graph6)
+                         disjoint_matching, flower, generate, is_connected,
+                         is_cubic, parse_graph6, petersen, star,
+                         write_graph6)
 from .matchings import (enumerate_matchings, enumerate_perfect_matchings,
                         has_matching_of_size, matching_number,
                         perfect_matchings_pairwise_intersect,
@@ -29,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph", "Graph6Error", "parse_graph6", "write_graph6",
     "generate", "petersen", "cycle", "complete", "star",
-    "disjoint_matching", "is_connected", "bridges", "is_cubic",
+    "disjoint_matching", "flower", "is_connected", "bridges", "is_cubic",
     "enumerate_matchings", "enumerate_perfect_matchings",
     "has_matching_of_size", "matching_number", "schonberger_check",
     "perfect_matchings_pairwise_intersect",

@@ -239,6 +239,23 @@ def disjoint_matching(n: int) -> Graph:
     return Graph(2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
 
 
+def flower(k: int) -> Graph:
+    """Flower snark J_k (k >= 3; a snark for odd k >= 5): k stars
+    A_i-(B_i, C_i, D_i) with A_i = i, B_i = k + i, C_i = 2k + i and
+    D_i = 3k + i, a k-cycle on the B_i, and one 2k-cycle
+    C_0..C_{k-1} D_0..D_{k-1}."""
+    if k < 3:
+        raise ValueError("flower needs k >= 3")
+    edges = []
+    for i in range(k):
+        edges += [(i, k + i), (i, 2 * k + i), (i, 3 * k + i),
+                  (k + i, k + (i + 1) % k)]
+    for i in range(k - 1):
+        edges += [(2 * k + i, 2 * k + i + 1), (3 * k + i, 3 * k + i + 1)]
+    edges += [(3 * k - 1, 3 * k), (4 * k - 1, 2 * k)]
+    return Graph(4 * k, edges)
+
+
 # [0-9], not \d: \d also matches non-ASCII digits such as "٣"
 _GEN_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([0-9]+)\s*\))?\s*$")
 
@@ -248,6 +265,7 @@ _GENERATORS = {
     "complete": (complete, True),
     "star": (star, True),
     "disjoint_matching": (disjoint_matching, True),
+    "flower": (flower, True),
 }
 
 
@@ -255,7 +273,7 @@ def generate(name: str) -> Graph:
     """Build a named graph from a spec string.
 
     Accepted forms: "petersen", "cycle(n)", "complete(n)", "star(k)",
-    "disjoint_matching(n)".
+    "disjoint_matching(n)", "flower(k)".
     """
     match = _GEN_RE.match(name)
     if not match:

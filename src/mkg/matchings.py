@@ -4,63 +4,96 @@ A matching is a set of pairwise vertex-disjoint edges, held as sorted
 edge indices into the host graph's canonical edge list.  Enumeration
 order is lexicographic on those index tuples; the Kneser construction
 inherits its vertex numbering from this order, so it must never change.
+
+The r-matchings come from one backtracker, _search, that branches on
+the lowest vertex not yet decided: covered by an edge to a higher
+vertex, or left uncovered while the slack n - 2r allows.  Edges are
+sorted by lower endpoint, so a matching's index tuple lists its edges
+in the order this search picks them, and the search meets the
+matchings in lexicographic order.  The blossom search _augment grows a
+maximum matching one augmenting path at a time for matching_number and
+for ex_exact.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from .graph_core import Graph, bit_indices
+from .graph_core import Graph
 
 
-def _search(g: Graph, r: int, idxs, first: bool) -> list[tuple[int, ...]]:
-    """The r-matchings among the edges idxs (ascending), in lexicographic
-    order, or only the first of them when first is set.
+def _search(g: Graph, r: int, allowed, first: bool) -> list[tuple[int, ...]]:
+    """The r-matchings of g among the allowed edges (an edge bitmask, or
+    None for all), in lexicographic order, or only the first of them
+    when first is set.
 
-    Backtracks over idxs keeping a covered-vertex mask; the loop bound
-    stops each branch as soon as too few edges are left to reach size r.
-    r=0 gives exactly one empty matching.
+    Each node takes the lowest vertex v that is neither covered nor
+    given up.  It first covers v with each allowed edge (v, w) to a
+    higher vertex w still free, in edge-index order, and then leaves v
+    uncovered.  An r-matching leaves n - 2r vertices uncovered, so a
+    branch may give up only that many (the slack); at r = n/2 a vertex
+    with no free higher neighbour ends its branch at once.
+
+    The order is lexicographic: every vertex below v is decided, so the
+    next edge of any matching below this node is the one at its lowest
+    covered vertex.  That edge is (v, w) when v is covered, and its
+    index grows with w; when v is left uncovered, every later edge has
+    a lower endpoint above v and so an index above every (v, w).  r=0
+    gives exactly one empty matching.
     """
     if r < 0:
         raise ValueError("matching size must be >= 0")
-    evmask = g.edge_vertex_masks
-    k = len(idxs)
+    slack = g.n - 2 * r
+    if slack < 0:
+        return []
+    if r == 0:
+        return [()]
+    # up[v]: (edge index, bit of w) for the allowed edges (v, w), w > v
+    up = [[] for _ in range(g.n)]
+    for e, (v, w) in enumerate(g.edges):
+        if allowed is None or allowed >> e & 1:
+            up[v].append((e, 1 << w))
     out: list[tuple[int, ...]] = []
     cur: list[int] = []
 
-    def rec(start: int, covered: int, need: int) -> bool:
-        if need == 0:
-            out.append(tuple(cur))
-            return first
-        for pos in range(start, k - need + 1):
-            e = idxs[pos]
-            if covered & evmask[e]:
-                continue
-            cur.append(e)
-            if rec(pos + 1, covered | evmask[e], need - 1):
-                return True
-            cur.pop()
-        return False
+    def rec(decided: int, need: int, slack: int) -> bool:
+        while True:
+            low = ~decided & (decided + 1)
+            for e, wbit in up[low.bit_length() - 1]:
+                if decided & wbit:
+                    continue
+                cur.append(e)
+                if need == 1:
+                    out.append(tuple(cur))
+                    if first:
+                        return True
+                elif rec(decided | low | wbit, need - 1, slack):
+                    return True
+                cur.pop()
+            if not slack:
+                return False
+            slack -= 1  # leave low's vertex uncovered
+            decided |= low
 
-    rec(0, 0, r)
+    rec(0, r, slack)
     return out
 
 
 def enumerate_matchings(g: Graph, r: int) -> list[tuple[int, ...]]:
     """All matchings of size exactly r, in lexicographic order; r=0
     yields exactly one empty matching, ()."""
-    return _search(g, r, list(range(g.m)), first=False)
+    return _search(g, r, None, first=False)
 
 
 def has_matching_of_size(g: Graph, r: int, allowed=None):
     """First r-matching of g using only allowed edges, or None.
 
-    allowed is None (all edges) or an int bitmask over edge indices.  The
-    enumeration's backtracking with early exit on the first hit; this is
-    the check the extremal branch and bound leans on.
+    allowed is None (all edges) or an int bitmask over the edge indices
+    0..m-1; a negative mask or one with a bit at m or above raises
+    ValueError.  The witness is the first r-matching in enumeration
+    order; validate_certificate leans on this check.
     """
-    idxs = list(range(g.m)) if allowed is None else bit_indices(allowed)
-    found = _search(g, r, idxs, first=True)
+    if allowed is not None and (allowed < 0 or allowed >> g.m):
+        raise ValueError(f"allowed must be an edge bitmask below 2**{g.m}")
+    found = _search(g, r, allowed, first=True)
     return found[0] if found else None
 
 
@@ -73,57 +106,57 @@ def _augment(n: int, rows: list[int], match: list[int], root: int) -> bool:
     True and augments match in place when such a path exists; returns
     False with match untouched when none does, since the search finds
     an augmenting path from root whenever one exists.
+
+    Neighbours are walked in ascending order straight off rows[v]; the
+    queued vertices, the bases on the path to the root (for the lowest
+    common ancestor) and a blossom's bases are bitmasks.
     """
-    used = [False] * n
     p = [-1] * n
     base = list(range(n))
-
-    def lca(a: int, b: int) -> int:
-        used_path = [False] * n
-        x = a
-        while True:
-            x = base[x]
-            used_path[x] = True
-            if match[x] == -1:
-                break
-            x = p[match[x]]
-        y = b
-        while True:
-            y = base[y]
-            if used_path[y]:
-                return y
-            y = p[match[y]]
-
-    def mark_path(v: int, b: int, child: int, blossom: list) -> None:
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
-
-    used[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for to in bit_indices(rows[v]):
+    used = 1 << root
+    queue = [root]
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        nb = rows[v]
+        while nb:
+            bit = nb & -nb
+            nb ^= bit
+            to = bit.bit_length() - 1
             if base[v] == base[to] or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and p[match[to]] != -1):
-                # odd cycle found: contract the blossom
-                curbase = lca(v, to)
-                blossom = [False] * n
-                mark_path(v, curbase, to, blossom)
-                mark_path(to, curbase, v, blossom)
+            mt = match[to]
+            if to == root or (mt != -1 and p[mt] != -1):
+                # odd cycle found: contract the blossom.  Its base is
+                # the first base on to's path that v's path also meets.
+                path = 0
+                x = v
+                while True:
+                    x = base[x]
+                    path |= 1 << x
+                    if match[x] == -1:
+                        break
+                    x = p[match[x]]
+                y = base[to]
+                while not path >> y & 1:
+                    y = base[p[match[y]]]
+                blossom = 0
+                for x, child in ((v, to), (to, v)):
+                    while base[x] != y:
+                        blossom |= 1 << base[x] | 1 << base[match[x]]
+                        p[x] = child
+                        child = match[x]
+                        x = p[child]
                 for i in range(n):
-                    if blossom[base[i]]:
-                        base[i] = curbase
-                        if not used[i]:
-                            used[i] = True
+                    if blossom >> base[i] & 1:
+                        base[i] = y
+                        if not used >> i & 1:
+                            used |= 1 << i
                             queue.append(i)
             elif p[to] == -1:
                 p[to] = v
-                if match[to] == -1:
+                if mt == -1:
                     # augment along the alternating path to root
                     u = to
                     while u != -1:
@@ -133,8 +166,8 @@ def _augment(n: int, rows: list[int], match: list[int], root: int) -> bool:
                         match[pv] = u
                         u = ppv
                     return True
-                used[match[to]] = True
-                queue.append(match[to])
+                used |= 1 << mt
+                queue.append(mt)
     return False
 
 

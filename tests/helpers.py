@@ -8,12 +8,14 @@ search engines they check.
 import os
 import subprocess
 import sys
+from collections import deque
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from random import Random
 
 from mkg import BudgetExhausted, Graph, parse_graph6, star_removal_bound
+from mkg.graph_core import bit_indices
 from mkg.matchings import _augment
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -78,6 +80,103 @@ def brute_matchings(g: Graph, r: int):
         vs = [w for e in es for w in g.edges[e]]
         return len(vs) == len(set(vs))
     return [c for c in combinations(range(g.m), r) if disjoint(c)]
+
+
+def ref_r_matchings(g: Graph, r: int, allowed=None, first=False):
+    """The r-matchings of g among the allowed edges (None: all), in
+    lexicographic order, or only the first of them when first is set:
+    mkg.matchings' edge-index backtracker as it was before it branched
+    on vertices.  It tries the edges in index order and cuts a branch
+    only when too few edges are left to reach size r."""
+    idxs = list(range(g.m)) if allowed is None else bit_indices(allowed)
+    evmask = g.edge_vertex_masks
+    k = len(idxs)
+    out = []
+    cur = []
+
+    def rec(start, covered, need):
+        if need == 0:
+            out.append(tuple(cur))
+            return first
+        for pos in range(start, k - need + 1):
+            e = idxs[pos]
+            if covered & evmask[e]:
+                continue
+            cur.append(e)
+            if rec(pos + 1, covered | evmask[e], need - 1):
+                return True
+            cur.pop()
+        return False
+
+    rec(0, 0, r)
+    return out
+
+
+def ref_augment(n: int, rows, match, root: int) -> bool:
+    """mkg.matchings._augment as it was written with two closures, an
+    O(n) list per LCA and per blossom, and a neighbour list per queued
+    vertex.  It must take the same augmenting path, so the tests compare
+    return values and the match arrays left behind."""
+    used = [False] * n
+    p = [-1] * n
+    base = list(range(n))
+
+    def lca(a, b):
+        used_path = [False] * n
+        x = a
+        while True:
+            x = base[x]
+            used_path[x] = True
+            if match[x] == -1:
+                break
+            x = p[match[x]]
+        y = b
+        while True:
+            y = base[y]
+            if used_path[y]:
+                return y
+            y = p[match[y]]
+
+    def mark_path(v, b, child, blossom):
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    used[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for to in bit_indices(rows[v]):
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and p[match[to]] != -1):
+                curbase = lca(v, to)
+                blossom = [False] * n
+                mark_path(v, curbase, to, blossom)
+                mark_path(to, curbase, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    u = to
+                    while u != -1:
+                        pv = p[u]
+                        ppv = match[pv]
+                        match[u] = pv
+                        match[pv] = u
+                        u = ppv
+                    return True
+                used[match[to]] = True
+                queue.append(match[to])
+    return False
 
 
 def _rows_to_lists(g):

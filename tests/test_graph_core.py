@@ -146,6 +146,17 @@ class TestGenerators:
             with pytest.raises(ValueError):
                 generate(spec)
 
+    def test_flower(self):
+        # the fixture's J5 was written by tools/make_fixtures.py from
+        # this generator, so the labels must not move
+        assert generate("flower(5)") == load_fixture("flower_j5.g6")[0]
+        for k in (3, 5, 7, 9):
+            g = generate(f"flower({k})")
+            assert g.n == 4 * k and g.m == 6 * k
+            assert is_cubic(g) and is_connected(g) and not bridges(g)
+        with pytest.raises(ValueError):
+            generate("flower(2)")
+
 
 class TestConnectivity:
     def test_examples(self):

@@ -1,8 +1,11 @@
+import importlib.util
 import random
+import time
 
 import pytest
 
-from helpers import brute_matching_number, brute_matchings, load_fixture, random_graph
+from helpers import (FIXTURES, brute_matching_number, brute_matchings,
+                     load_fixture, random_graph, ref_augment, ref_r_matchings)
 from mkg import (
     Graph,
     enumerate_matchings,
@@ -10,10 +13,25 @@ from mkg import (
     generate,
     has_matching_of_size,
     matching_number,
+    parse_graph6,
     perfect_matchings_pairwise_intersect,
     schonberger_check,
 )
 from mkg.edge_coloring import chromatic_index
+from mkg.matchings import _augment, _search
+
+SNARK_FIXTURES = ("petersen.g6", "blanusa_1.g6", "blanusa_2.g6",
+                  "flower_j5.g6", "cubic_bridgeless_n14.g6")
+
+
+def _dense_r2_hosts(seed):
+    """The random and complete hosts of the benchmark's dense-r2
+    workload, from mkgbench/workloads.py."""
+    path = FIXTURES.parent / "mkgbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("mkgbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [parse_graph6(line) for line in workloads.dense_lines(seed)]
 
 
 class TestEnumeration:
@@ -48,12 +66,93 @@ class TestEnumeration:
             for r in (2, 3):
                 assert enumerate_matchings(g, r) == brute_matchings(g, r)
 
+    def test_flower_j9_perfect_matchings(self):
+        # n = 36: an edge-index backtracker dies late at r = n/2 and took
+        # seconds already for J7; branching on vertices takes milliseconds
+        g = generate("flower(9)")
+        start = time.perf_counter()
+        pms = enumerate_matchings(g, 18)
+        assert time.perf_counter() - start < 10
+        assert len(pms) == 512
+        assert pms == sorted(pms) and len(set(pms)) == 512
+        assert all(len({w for e in pm for w in g.edges[e]}) == 36
+                   for pm in pms)
+
     def test_matching_mask_and_endpoints(self):
         g = generate("cycle(6)")
         mt = enumerate_matchings(g, 3)[0]
         assert len(mt) == 3
         assert sum(1 << e for e in mt).bit_count() == 3
         assert sorted(v for e in mt for v in g.edges[e]) == list(range(6))
+
+
+class TestSearchTwin:
+    """_search against tests/helpers.ref_r_matchings, the edge-index
+    backtracker it replaced: the same lists in the same order, and the
+    same first hit, with and without an allowed subset."""
+
+    @staticmethod
+    def _agree(g, r, rng, subsets=2):
+        for allowed in [None] + [rng.getrandbits(g.m)
+                                 for _ in range(subsets)]:
+            for first in (False, True):
+                assert (_search(g, r, allowed, first)
+                        == ref_r_matchings(g, r, allowed, first)), (
+                    g.edges, r, allowed, first)
+
+    def test_catalog(self):
+        rng = random.Random(14)
+        for g in load_fixture("connected_n7.g6"):
+            for r in range(5):
+                self._agree(g, r, rng)
+
+    def test_snarks_near_half_order(self):
+        rng = random.Random(15)
+        for name in SNARK_FIXTURES:
+            for g in load_fixture(name):
+                for r in (g.n // 2, g.n // 2 - 1):
+                    self._agree(g, r, rng, subsets=4)
+
+    def test_dense_r2_hosts(self):
+        rng = random.Random(16)
+        for g in _dense_r2_hosts(1):
+            for r in range(1, g.n // 2 + 1):
+                self._agree(g, r, rng)
+
+    def test_random_graphs(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            g = random_graph(rng, rng.randrange(0, 11), rng.random())
+            for r in range(g.n // 2 + 2):
+                self._agree(g, r, rng)
+
+    def test_negative_size(self):
+        with pytest.raises(ValueError):
+            enumerate_matchings(generate("cycle(4)"), -1)
+
+
+class TestAugmentTwin:
+    def test_random_graphs(self):
+        # the same augmenting path: equal return values and match arrays
+        # from every free root of a random partial matching
+        rng = random.Random(18)
+        roots = 0
+        for _ in range(1500):
+            n = rng.randrange(1, 17)
+            g = random_graph(rng, n, rng.random())
+            match = [-1] * n
+            for u, v in rng.sample(g.edges, g.m):
+                if match[u] == match[v] == -1 and rng.random() < 0.6:
+                    match[u], match[v] = v, u
+            twin = match[:]
+            for root in range(n):
+                if match[root] != -1:
+                    continue
+                grew = _augment(n, list(g.rows), match, root)
+                assert grew == ref_augment(n, list(g.rows), twin, root)
+                assert match == twin
+                roots += 1
+        assert roots > 3000
 
 
 class TestMatchingNumber:
@@ -107,6 +206,15 @@ class TestHasMatching:
         # edges (0,1),(0,4),(1,2),(2,3),(3,4)
         assert has_matching_of_size(g, 2, allowed=0b01001) is not None
         assert has_matching_of_size(g, 2, allowed=0b00011) is None
+
+    def test_allowed_must_be_an_edge_mask(self):
+        g = generate("cycle(6)")
+        for bad in (-1, -(1 << 6), 1 << 6, 1 << 40, (1 << 7) - 1):
+            with pytest.raises(ValueError):
+                has_matching_of_size(g, 2, allowed=bad)
+        assert has_matching_of_size(g, 2, allowed=(1 << 6) - 1) == (0, 3)
+        assert has_matching_of_size(g, 2, allowed=0) is None
+        assert has_matching_of_size(g, 0, allowed=0) == ()
 
     def test_agrees_with_enumeration(self):
         # the witness is the first enumerated r-matching inside allowed

@@ -349,3 +349,19 @@ def test_flower_j5_report_bytes():
     assert rep.verdict == VERDICT_COUNTEREXAMPLE
     line = report_to_json(rep) + "\n"
     assert hashlib.sha256(line.encode()).hexdigest() == FLOWER_J5_SHA256
+
+
+# sha256 of flower J7's half-order report_to_json line and its newline
+FLOWER_J7_SHA256 = ("2a83c33d22bb2da98934391ce0c86ff3"
+                    "14894510a54bf8377b034c884b2e6506")
+
+
+def test_flower_j7_report():
+    # n = 28, r = 14: 128 perfect matchings, pairwise intersecting, so
+    # KG(J7, 14K2) is edgeless; the r-matching search dominates here
+    (rep,) = scan_lines([write_graph6(generate("flower(7)"))], "half-order")
+    assert rep.verdict == VERDICT_COUNTEREXAMPLE
+    assert (rep.r, rep.num_r_matchings, rep.kneser_edges) == (14, 128, 0)
+    assert (rep.chromatic_number, rep.rhs, rep.ex_value) == (1, 3, 39)
+    line = report_to_json(rep) + "\n"
+    assert hashlib.sha256(line.encode()).hexdigest() == FLOWER_J7_SHA256

@@ -27,8 +27,8 @@ from networkx.generators.atlas import graph_atlas_g
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mkg import (Graph, bridges, complete, is_connected, is_cubic, is_snark,
-                 petersen, write_graph6)
+from mkg import (Graph, bridges, complete, flower, is_connected, is_cubic,
+                 is_snark, petersen, write_graph6)
 from mkg.graph_core import bit_indices
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -52,25 +52,6 @@ def girth(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------- snarks --
-
-def flower_snark(k: int) -> Graph:
-    """J_k: k stars A_i-(B_i,C_i,D_i), a k-cycle on B, and one 2k-cycle
-    C_0..C_{k-1} D_0..D_{k-1}."""
-    a = lambda i: i
-    b = lambda i: k + i
-    c = lambda i: 2 * k + i
-    d = lambda i: 3 * k + i
-    edges = []
-    for i in range(k):
-        edges += [(a(i), b(i)), (a(i), c(i)), (a(i), d(i))]
-        edges.append((b(i), b((i + 1) % k)))
-    for i in range(k - 1):
-        edges.append((c(i), c(i + 1)))
-        edges.append((d(i), d(i + 1)))
-    edges.append((c(k - 1), d(0)))
-    edges.append((d(k - 1), c(0)))
-    return Graph(4 * k, edges)
-
 
 def dot_products():
     """All dot products of the Petersen graph with itself.
@@ -226,7 +207,7 @@ def main():
     (FIXTURES / "petersen.g6").write_text(write_graph6(p) + "\n")
     print("petersen.g6: n=%d m=%d aut=120" % (p.n, p.m))
 
-    j5 = flower_snark(5)
+    j5 = flower(5)
     ok, reason = is_snark(j5)
     assert ok, reason
     assert (j5.n, j5.m, girth(j5), aut_count(j5)) == (20, 30, 5, 20)
