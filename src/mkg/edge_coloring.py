@@ -24,8 +24,8 @@ def _backtrack_edge_coloring(g: Graph, k: int):
     """A proper k-edge-coloring as a list, or None if none exists.
 
     k must be at least the maximum degree (chromatic_index passes Delta
-    or Delta + 1).  Edges are processed in index order, colors tried in
-    ascending order.
+    or Delta + 1, is_snark 3 on a cubic graph).  Edges are processed in
+    index order, colors tried in ascending order.
     Symmetry break: the star of vertex 0 is pre-colored 0..deg(0)-1 in
     edge-index order, which is harmless up to color permutation.  On top
     of that a fresh color may only be the lowest unused one.  The star
@@ -102,7 +102,7 @@ def is_snark(g: Graph):
         return False, "has a bridge"
     if not is_cubic(g):
         return False, "not cubic"
-    ci = chromatic_index(g).chromatic_index
-    if ci != 4:
-        return False, f"chromatic index {ci}"
+    # cubic: m = 3n/2 is never overfull, so chi' is 3 or 4 (0 when n = 0)
+    if _backtrack_edge_coloring(g, 3) is not None:
+        return False, f"chromatic index {3 if g.m else 0}"
     return True, None

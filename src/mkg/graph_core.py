@@ -54,14 +54,12 @@ class Graph:
         rows: the adjacency, one bitmask per vertex: bit w of rows[v] is
             set iff {v, w} is an edge.  Built with the graph; it is the
             only adjacency form, and a KneserGraph holds the same one.
-        edge_vertex_masks: one bitmask per edge over its two ends,
-            (1 << u) | (1 << v); the matching machinery reads it.
 
+    These four are all a Graph stores; the hash is computed on demand.
     The null graph (n=0) is legal and counts as connected.
     """
 
-    __slots__ = ("n", "edges", "m", "rows", "edge_vertex_masks", "_hash",
-                 "__weakref__")
+    __slots__ = ("n", "edges", "m", "rows")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -84,8 +82,6 @@ class Graph:
         self.edges = tuple(canon)
         self.m = len(canon)
         self.rows = tuple(rows)
-        self.edge_vertex_masks = tuple((1 << u) | (1 << v) for u, v in canon)
-        self._hash = hash((n, self.edges))
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -106,7 +102,7 @@ class Graph:
                 and self.n == other.n and self.edges == other.edges)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n, self.edges))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"

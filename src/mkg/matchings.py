@@ -39,8 +39,8 @@ def _search(g: Graph, r: int, allowed, first: bool) -> list[tuple[int, ...]]:
     a lower endpoint above v and so an index above every (v, w).  r=0
     gives exactly one empty matching.
     """
-    if r < 0:
-        raise ValueError("matching size must be >= 0")
+    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+        raise ValueError(f"matching size must be an int >= 0, got {r!r}")
     slack = g.n - 2 * r
     if slack < 0:
         return []
@@ -172,19 +172,13 @@ def _augment(n: int, rows: list[int], match: list[int], root: int) -> bool:
 
 
 def matching_number(g: Graph) -> int:
-    """Exact maximum matching size: a greedy start, then one blossom
-    search (_augment) from each vertex still free.
-
-    The brute-force oracle in the test suite pins this down on all small
-    graphs; the algorithm itself is the standard O(n^3) one.
+    """Exact maximum matching size: one blossom search (_augment) from
+    each vertex still free, in vertex order; a vertex with no augmenting
+    path never gains one later, so one pass suffices.  The brute-force
+    oracle in the test suite pins this down on all small graphs.
     """
     n = g.n
     match = [-1] * n
-    # cheap greedy start cuts the number of augmenting phases
-    for u, v in g.edges:
-        if match[u] == -1 and match[v] == -1:
-            match[u] = v
-            match[v] = u
     for v in range(n):
         if match[v] == -1:
             _augment(n, g.rows, match, v)

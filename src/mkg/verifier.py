@@ -88,8 +88,8 @@ def verify_conjecture(g: Graph, r: int,
     when undecided, its lower bound) is checked against the theorem
     chi <= rhs; a failure raises SelfCheckError.
     """
-    if r < 1:
-        raise ValueError("verify_conjecture requires r >= 1")
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        raise ValueError(f"verify_conjecture needs an int r >= 1, got {r!r}")
     kg = build_matching_kneser(g, r)
     cert = ex_exact(g, r)
     if not validate_certificate(g, cert):
@@ -118,6 +118,9 @@ def verify_conjecture(g: Graph, r: int,
     if kg.n > 0 and kg.m == 0:
         # re-derive edgelessness straight from the matchings, not kg.rows
         certs["pairwise_intersect"] = pairwise_intersect(kg.vertices)
+        if not certs["pairwise_intersect"]:
+            raise SelfCheckError(f"edgeless KG({write_graph6(g)}, {r}K2) "
+                                 "failed its pairwise re-check")
     if chi == -1:
         verdict = VERDICT_UNDECIDED
     elif not is_connected(g):
@@ -136,16 +139,17 @@ def verify_conjecture(g: Graph, r: int,
 
 
 def skipped_report(g: Graph) -> ConjectureReport:
-    """Report for a graph the r-policy skips (odd order under
+    """Report for a graph the r-policy skips (odd or zero order under
     half-order).  No r exists, so r is recorded as 0 and the derived
     quantities are zeroed; rhs = m keeps the field invariant rhs = m -
     ex_value intact."""
-    snark, _ = is_snark(g)
+    # never a snark: no cubic graph has odd order (handshake lemma), and
+    # the null graph has chromatic index 0
     return ConjectureReport(
         graph6=write_graph6(g), n=g.n, m=g.m, r=0,
         num_r_matchings=0, kneser_vertices=0, kneser_edges=0,
         chromatic_number=0, ex_value=0, rhs=g.m,
-        verdict=VERDICT_OUT_OF_SCOPE, is_snark=snark, certificates={})
+        verdict=VERDICT_OUT_OF_SCOPE, is_snark=False, certificates={})
 
 
 def parse_decimal(text: str) -> int:

@@ -89,7 +89,7 @@ def ref_r_matchings(g: Graph, r: int, allowed=None, first=False):
     on vertices.  It tries the edges in index order and cuts a branch
     only when too few edges are left to reach size r."""
     idxs = list(range(g.m)) if allowed is None else bit_indices(allowed)
-    evmask = g.edge_vertex_masks
+    evmask = [(1 << u) | (1 << v) for u, v in g.edges]
     k = len(idxs)
     out = []
     cur = []

@@ -4,7 +4,7 @@ import time
 from itertools import combinations
 
 from helpers import FIXTURES, brute_chromatic, load_fixture, random_graph
-from mkg import Graph, generate
+from mkg import Graph, bridges, generate, is_connected, is_cubic
 from mkg.edge_coloring import chromatic_index, is_snark
 from mkg.matchings import enumerate_perfect_matchings
 
@@ -160,3 +160,31 @@ class TestIsSnark:
                      "blanusa_2.g6"):
             ok, reason = is_snark(load_fixture(name)[0])
             assert ok and reason is None
+
+    def test_matches_chromatic_index_route(self):
+        # is_snark runs one 3-edge-coloring search; the route through
+        # chromatic_index, which also builds a class-two witness, must
+        # give the same pair, reason strings included
+        def via_chromatic_index(g):
+            if not is_connected(g):
+                return False, "not connected"
+            if bridges(g):
+                return False, "has a bridge"
+            if not is_cubic(g):
+                return False, "not cubic"
+            ci = chromatic_index(g).chromatic_index
+            return (ci == 4, None if ci == 4 else f"chromatic index {ci}")
+
+        graphs = load_fixture("cubic_bridgeless_n14.g6")
+        for name in ("petersen.g6", "flower_j5.g6", "blanusa_1.g6",
+                     "blanusa_2.g6"):
+            graphs += load_fixture(name)
+        graphs += [generate(f"flower({k})") for k in range(3, 8)]
+        graphs += load_fixture("connected_n7.g6") + [Graph(0, [])]
+        reasons = set()
+        for g in graphs:
+            got = is_snark(g)
+            assert got == via_chromatic_index(g), g
+            reasons.add(got[1])
+        assert reasons == {None, "chromatic index 3", "chromatic index 0",
+                           "not cubic", "has a bridge"}

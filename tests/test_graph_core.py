@@ -49,6 +49,10 @@ class TestGraphClass:
         assert a == b and hash(a) == hash(b)
         assert a != Graph(4, [(0, 1), (1, 2)])
 
+    def test_holds_the_host_graph_only(self):
+        assert Graph.__slots__ == ("n", "edges", "m", "rows")
+        assert not hasattr(Graph(2, [(0, 1)]), "__dict__")
+
 
 class TestGraph6:
     def test_known_encodings(self):

@@ -8,6 +8,7 @@ from helpers import (FIXTURES, brute_matching_number, brute_matchings,
                      load_fixture, random_graph, ref_augment, ref_r_matchings)
 from mkg import (
     Graph,
+    build_matching_kneser,
     enumerate_matchings,
     enumerate_perfect_matchings,
     generate,
@@ -129,6 +130,17 @@ class TestSearchTwin:
     def test_negative_size(self):
         with pytest.raises(ValueError):
             enumerate_matchings(generate("cycle(4)"), -1)
+
+    @pytest.mark.parametrize("r", [True, 2.5, 2.0])
+    def test_non_int_size(self, r):
+        # 2.5 used to fail with IndexError inside _search, and True ran
+        # as r = 1; every entry point into _search rejects them
+        g = generate("petersen")
+        for call in (lambda: enumerate_matchings(g, r),
+                     lambda: has_matching_of_size(g, r),
+                     lambda: build_matching_kneser(g, r)):
+            with pytest.raises(ValueError, match="int >= 0"):
+                call()
 
 
 class TestAugmentTwin:

@@ -7,10 +7,12 @@ import pytest
 from helpers import FIXTURES, load_fixture, random_graph
 from mkg import (
     ConjectureReport,
+    Graph,
     ScanError,
     build_matching_kneser,
     chromatic_number,
     generate,
+    is_snark,
     report_from_json,
     report_to_json,
     scan_catalog,
@@ -94,6 +96,13 @@ class TestVerifyConjecture:
         with pytest.raises(ValueError):
             verify_conjecture(generate("cycle(5)"), 0)
 
+    @pytest.mark.parametrize("r", [True, 2.5, 2.0, "2"])
+    def test_rejects_non_int_r(self, r):
+        # True would run as r = 1 and write "r":true; 2.5 used to fail
+        # with IndexError deep in the matching search
+        with pytest.raises(ValueError, match="an int r >= 1"):
+            verify_conjecture(generate("petersen"), r)
+
     def test_undecided_on_tiny_budget(self):
         rep = verify_conjecture(generate("complete(7)"), 2, budget=3)
         assert rep.verdict == VERDICT_UNDECIDED
@@ -120,6 +129,14 @@ class TestSkippedReport:
         assert rep.r == 0 and rep.chromatic_number == 0
         assert rep.rhs == rep.m - rep.ex_value == g.m
         assert not rep.is_snark
+
+    def test_never_a_snark(self):
+        # skipped_report writes is_snark=False without a search; is_snark
+        # must agree on every host the half-order policy skips
+        hosts = [g for g in load_fixture("connected_n7.g6") if g.n % 2]
+        assert len(hosts) == 877
+        for g in hosts + [Graph(0, [])]:
+            assert skipped_report(g).is_snark == is_snark(g)[0]
 
 
 class TestScan:
@@ -246,6 +263,18 @@ class TestSelfCheck:
         monkeypatch.setattr(verifier, "ex_exact", all_edges)
         with pytest.raises(verifier.SelfCheckError):
             verify_conjecture(generate("cycle(5)"), 2)
+
+    def test_failed_pairwise_recheck_raises(self, monkeypatch):
+        import mkg.verifier as verifier
+
+        # KG(Petersen, 5K2) is edgeless; if the matchings did not pairwise
+        # share an edge, chi 1 would read as a counterexample
+        monkeypatch.setattr(verifier, "pairwise_intersect", lambda ms: False)
+        with pytest.raises(verifier.SelfCheckError, match="pairwise"):
+            verify_conjecture(generate("petersen"), 5)
+        # the re-check only runs on a nonempty edgeless Kneser graph
+        assert verify_conjecture(generate("cycle(5)"), 2).verdict \
+            == VERDICT_HOLDS
 
 
 class TestJson:

@@ -119,13 +119,6 @@ def find_blanusa():
 
 # ----------------------------------------------------- cubic n<=14 corpus --
 
-def prism(k: int) -> Graph:
-    edges = []
-    for i in range(k):
-        edges += [(i, (i + 1) % k), (k + i, k + (i + 1) % k), (i, k + i)]
-    return Graph(2 * k, edges)
-
-
 def mobius_ladder(k: int) -> Graph:
     n = 2 * k
     edges = [(i, (i + 1) % n) for i in range(n)]
@@ -155,16 +148,16 @@ def cubic_corpus():
     named = [
         ("K4", complete(4)),
         ("K33", k33()),
-        ("prism3", prism(3)),
-        ("cube", prism(4)),
+        ("prism3", generalized_petersen(3, 1)),
+        ("cube", generalized_petersen(4, 1)),
         ("wagner", mobius_ladder(4)),
-        ("pentaprism", prism(5)),
+        ("pentaprism", generalized_petersen(5, 1)),
         ("ml5", mobius_ladder(5)),
         ("petersen", petersen()),
-        ("hexaprism", prism(6)),
+        ("hexaprism", generalized_petersen(6, 1)),
         ("ml6", mobius_ladder(6)),
         ("gp62", generalized_petersen(6, 2)),
-        ("heptaprism", prism(7)),
+        ("heptaprism", generalized_petersen(7, 1)),
         ("ml7", mobius_ladder(7)),
         ("gp72", generalized_petersen(7, 2)),
         ("heawood", heawood()),
