@@ -1,9 +1,12 @@
 """Exact chromatic index and the snark predicate.
 
-Class-2 status is certified by counting (an overfull graph) or by
-exhaustive failure of the Delta-edge-coloring search, never by
-heuristic: whether a cubic graph is a snark is what the whole
-counterexample hangs on.
+Class-2 status is certified exhaustively, never by heuristic: whether a
+cubic graph is a snark is what the whole counterexample hangs on.
+chromatic_index certifies it by counting (an overfull graph) or by
+exhaustive failure of the Delta-edge-coloring search.  is_snark goes
+through the perfect matchings instead: a cubic graph is 3-edge-
+colorable exactly when some perfect matching leaves a 2-factor whose
+cycles are all even, so it is a snark when no perfect matching does.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import Graph, allow_recursion, bridges, is_connected, is_cubic
+from .matchings import _search
 
 
 @dataclass(frozen=True)
@@ -24,8 +28,8 @@ def _backtrack_edge_coloring(g: Graph, k: int):
     """A proper k-edge-coloring as a list, or None if none exists.
 
     k must be at least the maximum degree (chromatic_index passes Delta
-    or Delta + 1, is_snark 3 on a cubic graph).  Edges are processed in
-    index order, colors tried in ascending order.
+    or Delta + 1).  Edges are processed in index order, colors tried in
+    ascending order.
     Symmetry break: the star of vertex 0 is pre-colored 0..deg(0)-1 in
     edge-index order, which is harmless up to color permutation.  On top
     of that a fresh color may only be the lowest unused one.  The star
@@ -89,12 +93,40 @@ def chromatic_index(g: Graph) -> EdgeColoringResult:
     return EdgeColoringResult(delta + 1, tuple(col), "two")
 
 
+def _leaves_even_two_factor(g: Graph, pm: tuple[int, ...]) -> bool:
+    """Is every cycle of the 2-factor that the perfect matching pm
+    leaves in the cubic graph g even?  Then pm and the two halves of the
+    2-factor's alternate edges are a 3-edge-coloring.  Each cycle is
+    walked once, one bitmask step per vertex."""
+    two = list(g.rows)  # the 2-factor: every edge off pm
+    for e in pm:
+        a, b = g.edges[e]
+        two[a] ^= 1 << b
+        two[b] ^= 1 << a
+    seen = 0
+    for v in range(g.n):
+        if seen >> v & 1:
+            continue
+        length = 0
+        bit = 1 << v
+        while bit:
+            seen |= bit
+            length += 1
+            ahead = two[bit.bit_length() - 1] & ~seen
+            bit = ahead & -ahead
+        if length & 1:
+            return False
+    return True
+
+
 def is_snark(g: Graph):
     """(bool, reason) snark test: connected, bridgeless, cubic, class two.
 
     Clauses are evaluated in this fixed order so the reason string is
     deterministic.  No girth or cyclic-connectivity requirements.  reason
-    is None on True.
+    is None on True.  The last clause goes through the perfect matchings
+    in enumeration order and stops at the first that leaves an even
+    2-factor; a snark is proved class two when none does.
     """
     if not is_connected(g):
         return False, "not connected"
@@ -103,6 +135,7 @@ def is_snark(g: Graph):
     if not is_cubic(g):
         return False, "not cubic"
     # cubic: m = 3n/2 is never overfull, so chi' is 3 or 4 (0 when n = 0)
-    if _backtrack_edge_coloring(g, 3) is not None:
+    if _search(g, g.n // 2, None,
+               lambda pm: _leaves_even_two_factor(g, pm)):
         return False, f"chromatic index {3 if g.m else 0}"
     return True, None

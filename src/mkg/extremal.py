@@ -22,6 +22,18 @@ maximum matching of the kept set down the keep branch, and since one
 more edge raises the matching number by at most one, a single
 augmenting-path search (the blossom search of matchings._augment;
 Berge's theorem says it is enough) decides each keep.
+
+At n = 2r a seed proof runs before the branch and bound.  Every
+r-matching is then perfect, and the star seed keeps m - delta edges; it
+is optimal exactly when no set of at most delta - 1 edges meets every
+perfect matching.  A bounded hitting search decides that: any such set
+meets a perfect matching M of what is left, so it branches on the edges
+of M and repairs M with one blossom search per deletion.  When no set
+exists the seed is returned, which the branch and bound would return
+too, since it only replaces the incumbent on a strict gain.  On a snark
+this is Schonberger's theorem at work: every two edges of a bridgeless
+cubic graph are missed by some perfect matching.
+
 validate_certificate re-checks the result with the matchings
 backtracker instead, a code path the search does not use.
 """
@@ -61,16 +73,22 @@ def star_removal_bound(g: Graph, r: int) -> ExtremalCertificate | None:
 def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
     """Exact ex(g, rK2) with a witnessing certificate.
 
+    r must be an int >= 1, else ValueError (a bool is not taken).
     Seeded with star_removal_bound when n = 2r, otherwise unseeded; the
     branch and bound only chases strict improvements, so when the seed is
-    already optimal it is returned unchanged.  Keeping edge (a, b) with
-    both ends free in the carried matching grows it with no search; with
-    one end free, an augmenting path must end there, so one blossom
-    search from that end decides; with both ends matched, the free
-    vertices are tried as roots until one search augments.  Ties go to
-    the first optimum in search order; unseeded, that is the optimum
-    whose keep indicator vector (edge 0 first) is lexicographically
-    greatest.
+    already optimal it is returned unchanged.  At n = 2r _seed_is_optimal
+    first tries to prove that from perfect matchings alone, and when it
+    does the seed is returned without a branch and bound; this is exact,
+    since the branch and bound would meet no strictly better leaf and
+    return the seed too.
+
+    Keeping edge (a, b) with both ends free in the carried matching
+    grows it with no search; with one end free, an augmenting path must
+    end there, so one blossom search from that end decides; with both
+    ends matched, the free vertices are tried as roots until one search
+    augments.  Ties go to the first optimum in search order; unseeded,
+    that is the optimum whose keep indicator vector (edge 0 first) is
+    lexicographically greatest.
 
     A node is cut when one of three upper bounds on the final set F
     (kept edges K plus some of the undecided ones, nu(F) <= k = r-1)
@@ -90,22 +108,24 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
     meets the same incumbents, and returns the same set, as with the
     room bound alone.
     """
-    if r < 1:
-        raise ValueError("ex_exact requires r >= 1")
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        raise ValueError(f"ex_exact needs an int r >= 1, got {r!r}")
     m = g.m
+    n = g.n
+    deg = [g.degree(v) for v in range(n)]  # degrees in P = K + undecided
     seed = star_removal_bound(g, r)
     if seed is not None:
+        if _seed_is_optimal(g, r, seed.value, deg):
+            return seed
         best_value = seed.value
         best_mask = sum(1 << e for e in seed.edges)
     else:
         best_value, best_mask = -1, 0
 
-    n = g.n
     k = r - 1
     edges = g.edges
     rows = [0] * n  # adjacency bitmasks of the kept set K
     match = [-1] * n  # a maximum matching of K; nu is its size
-    deg = [g.degree(v) for v in range(n)]  # degrees in P = K + undecided
     incident = [0] * n  # edge bitmask at each vertex
     for e, (a, b) in enumerate(edges):
         incident[a] |= 1 << e
@@ -169,6 +189,70 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
     allow_recursion(m)
     rec(0, 0, 0, 0, _degree_cap(deg, k) if capped else m)
     return ExtremalCertificate(frozenset(bit_indices(best_mask)), best_value, r)
+
+
+def _seed_is_optimal(g: Graph, r: int, seed_value: int,
+                     deg: list[int]) -> bool:
+    """At n = 2r, is the star seed (m - delta edges) optimal?
+
+    Every r-matching is then a perfect matching, so a kept set F avoids
+    them all exactly when the deleted set D = E - F meets every perfect
+    matching.  The seed deletes delta edges; it is beaten exactly when
+    some D of at most d = delta - 1 edges meets every perfect matching.
+
+    The root cut of the branch and bound comes first: when the degree
+    cap is at most the seed's value, nothing beats it.  Then one perfect
+    matching M is built, one blossom search from each free vertex; with
+    none, D = {} already works (ex = m).  Otherwise hit(d) searches for
+    D: any such D meets M, so it branches on which edge of M is the
+    first one in D.  Deleting (a, b) frees a and b, and one search from
+    a repairs M or proves that G - D has no perfect matching (a
+    matching missing only a and b is maximum unless a path joins them).
+    An edge of M tried and found not to work is kept in the later
+    branches of that node and below, so no D is visited twice.
+    """
+    d = min(deg) - 1
+    if d < 0 or _degree_cap(deg, r - 1) <= seed_value:
+        return True
+    n = g.n
+    rows = list(g.rows)  # adjacency bitmasks of G - D
+    match = [-1] * n  # a perfect matching of G - D
+    for v in range(n):
+        if match[v] == -1 and not _augment(n, rows, match, v):
+            return False
+    kept = [0] * n  # edges of G - D that no branch below may delete
+
+    def hit(d: int) -> bool:
+        """Do at most d more deletions, none of a kept edge, leave G - D
+        with no perfect matching?"""
+        if d == 0:
+            return False
+        marked = []
+        found = False
+        for a in range(n):
+            b = match[a]
+            if b < a or kept[a] >> b & 1:
+                continue
+            saved = match[:]
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+            match[a] = match[b] = -1
+            found = not _augment(n, rows, match, a) or hit(d - 1)
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+            match[:] = saved
+            if found:
+                break
+            kept[a] |= 1 << b
+            kept[b] |= 1 << a
+            marked.append((a, b))
+        for a, b in marked:
+            kept[a] ^= 1 << b
+            kept[b] ^= 1 << a
+        return found
+
+    allow_recursion(d)
+    return not hit(d)
 
 
 def _degree_cap(deg: list[int], k: int) -> int:

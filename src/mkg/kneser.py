@@ -49,14 +49,16 @@ def _from_rows(base: Graph, r: int, verts, rows: list[int]) -> KneserGraph:
 def build_matching_kneser(g: Graph, r: int) -> KneserGraph:
     """KG(g, rK2) over all r-matchings of g.
 
-    r must be >= 1; r=0 is rejected (it would give a degenerate one-
-    vertex graph that answers nothing).  Zero r-matchings yield a null
-    derived graph.  With contains[e] the bitmask of the r-matchings that
-    use host edge e, the row of matching M is everything outside the OR
-    of contains[e] over e in M: O(N*r) big-int operations, no pair tests.
+    r must be an int >= 1 (not a bool), else ValueError; r=0 would give
+    a degenerate one-vertex graph that answers nothing.  Zero
+    r-matchings yield a null derived graph.  With contains[e] the
+    bitmask of the r-matchings that use host edge e, the row of matching
+    M is everything outside the OR of contains[e] over e in M: O(N*r)
+    big-int operations, no pair tests.
     """
-    if r < 1:
-        raise ValueError("build_matching_kneser requires r >= 1")
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        raise ValueError(
+            f"build_matching_kneser needs an int r >= 1, got {r!r}")
     verts = enumerate_matchings(g, r)
     contains = [0] * g.m
     for i, mt in enumerate(verts):

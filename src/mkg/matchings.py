@@ -10,7 +10,10 @@ the lowest vertex not yet decided: covered by an edge to a higher
 vertex, or left uncovered while the slack n - 2r allows.  Edges are
 sorted by lower endpoint, so a matching's index tuple lists its edges
 in the order this search picks them, and the search meets the
-matchings in lexicographic order.  The blossom search _augment grows a
+matchings in lexicographic order.  It hands each one to a visit
+callback and stops when visit returns a true value, so a caller that
+wants the first matching with some property (is_snark's even 2-factor)
+never enumerates the rest.  The blossom search _augment grows a
 maximum matching one augmenting path at a time for matching_number and
 for ex_exact.
 """
@@ -20,10 +23,10 @@ from __future__ import annotations
 from .graph_core import Graph
 
 
-def _search(g: Graph, r: int, allowed, first: bool) -> list[tuple[int, ...]]:
-    """The r-matchings of g among the allowed edges (an edge bitmask, or
-    None for all), in lexicographic order, or only the first of them
-    when first is set.
+def _search(g: Graph, r: int, allowed, visit) -> bool:
+    """Call visit on each r-matching of g among the allowed edges (an
+    edge bitmask, or None for all), in lexicographic order, until visit
+    returns a true value; return whether one did.
 
     Each node takes the lowest vertex v that is neither covered nor
     given up.  It first covers v with each allowed edge (v, w) to a
@@ -37,21 +40,22 @@ def _search(g: Graph, r: int, allowed, first: bool) -> list[tuple[int, ...]]:
     covered vertex.  That edge is (v, w) when v is covered, and its
     index grows with w; when v is left uncovered, every later edge has
     a lower endpoint above v and so an index above every (v, w).  r=0
-    gives exactly one empty matching.
+    gives exactly one empty matching.  The search is lazy: it stops at
+    the matching visit accepts, so a caller that wants a matching with
+    some property pays only for the matchings before it.
     """
     if isinstance(r, bool) or not isinstance(r, int) or r < 0:
         raise ValueError(f"matching size must be an int >= 0, got {r!r}")
     slack = g.n - 2 * r
     if slack < 0:
-        return []
+        return False
     if r == 0:
-        return [()]
+        return bool(visit(()))
     # up[v]: (edge index, bit of w) for the allowed edges (v, w), w > v
     up = [[] for _ in range(g.n)]
     for e, (v, w) in enumerate(g.edges):
         if allowed is None or allowed >> e & 1:
             up[v].append((e, 1 << w))
-    out: list[tuple[int, ...]] = []
     cur: list[int] = []
 
     def rec(decided: int, need: int, slack: int) -> bool:
@@ -62,8 +66,7 @@ def _search(g: Graph, r: int, allowed, first: bool) -> list[tuple[int, ...]]:
                     continue
                 cur.append(e)
                 if need == 1:
-                    out.append(tuple(cur))
-                    if first:
+                    if visit(tuple(cur)):
                         return True
                 elif rec(decided | low | wbit, need - 1, slack):
                     return True
@@ -73,14 +76,15 @@ def _search(g: Graph, r: int, allowed, first: bool) -> list[tuple[int, ...]]:
             slack -= 1  # leave low's vertex uncovered
             decided |= low
 
-    rec(0, r, slack)
-    return out
+    return rec(0, r, slack)
 
 
 def enumerate_matchings(g: Graph, r: int) -> list[tuple[int, ...]]:
     """All matchings of size exactly r, in lexicographic order; r=0
     yields exactly one empty matching, ()."""
-    return _search(g, r, None, first=False)
+    out: list[tuple[int, ...]] = []
+    _search(g, r, None, out.append)
+    return out
 
 
 def has_matching_of_size(g: Graph, r: int, allowed=None):
@@ -93,7 +97,8 @@ def has_matching_of_size(g: Graph, r: int, allowed=None):
     """
     if allowed is not None and (allowed < 0 or allowed >> g.m):
         raise ValueError(f"allowed must be an edge bitmask below 2**{g.m}")
-    found = _search(g, r, allowed, first=True)
+    found: list[tuple[int, ...]] = []
+    _search(g, r, allowed, lambda mt: found.append(mt) or True)
     return found[0] if found else None
 
 

@@ -49,6 +49,16 @@ def random_graph(rng: Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+def generalized_petersen(k: int, s: int) -> Graph:
+    """GP(k, s), 1 <= s < k/2: an outer k-cycle u_i = i, spokes to
+    v_i = k + i, and inner edges v_i v_{i+s}.  GP(k, 1) is the k-prism
+    and GP(5, 2) the Petersen graph."""
+    edges = []
+    for i in range(k):
+        edges += [(i, (i + 1) % k), (i, k + i), (k + i, k + (i + s) % k)]
+    return Graph(2 * k, edges)
+
+
 def brute_matching_number(g: Graph) -> int:
     """Exhaustive DP over vertex subsets; fine up to n ~ 16."""
     adjm = [0] * g.n

@@ -3,9 +3,13 @@ import random
 import time
 from itertools import combinations
 
-from helpers import FIXTURES, brute_chromatic, load_fixture, random_graph
-from mkg import Graph, bridges, generate, is_connected, is_cubic
-from mkg.edge_coloring import chromatic_index, is_snark
+import mkg.edge_coloring
+from helpers import (FIXTURES, brute_chromatic, generalized_petersen,
+                     load_fixture, random_graph)
+from mkg import (Graph, bridges, generate, is_connected, is_cubic,
+                 perfect_matchings_pairwise_intersect)
+from mkg.edge_coloring import (_backtrack_edge_coloring, chromatic_index,
+                               is_snark)
 from mkg.matchings import enumerate_perfect_matchings
 
 # sha256 of repr(chromatic_index(g)), one per line, over every fixture
@@ -188,3 +192,76 @@ class TestIsSnark:
             reasons.add(got[1])
         assert reasons == {None, "chromatic index 3", "chromatic index 0",
                            "not cubic", "has a bridge"}
+
+
+def _scan_hosts():
+    """The fixture graphs, flower(3..7) and GP(k, s) for k <= 20 and
+    s <= 3, cubic or not."""
+    graphs = [g for path in sorted(FIXTURES.glob("*.g6"))
+              for g in load_fixture(path.name)]
+    graphs += [generate(f"flower({k})") for k in range(3, 8)]
+    graphs += [generalized_petersen(k, s)
+               for k in range(3, 21) for s in range(1, 4) if 2 * s < k]
+    return graphs
+
+
+def _backtracking_is_snark(g):
+    """is_snark as it was when its last clause ran the 3-edge-coloring
+    backtracker."""
+    if not is_connected(g):
+        return False, "not connected"
+    if bridges(g):
+        return False, "has a bridge"
+    if not is_cubic(g):
+        return False, "not cubic"
+    if _backtrack_edge_coloring(g, 3) is not None:
+        return False, f"chromatic index {3 if g.m else 0}"
+    return True, None
+
+
+class TestEvenTwoFactorScan:
+    """is_snark's last clause goes through the perfect matchings for an
+    even 2-factor; the 3-edge-coloring backtracker and the pairwise
+    intersection of the perfect matchings are its twins."""
+
+    def test_matches_twins(self):
+        hosts = [g for g in _scan_hosts()
+                 if is_connected(g) and not bridges(g) and is_cubic(g)]
+        snarks = 0
+        for g in hosts:
+            got, _ = is_snark(g)
+            assert got == (_backtrack_edge_coloring(g, 3) is None), g
+            assert got == perfect_matchings_pairwise_intersect(g), g
+            snarks += got
+        # 22 cubic fixtures (3 of them in connected_n7), J3..J7 and 48
+        # GP(k, s); the class-two ones are Petersen (three times: its
+        # fixture, one in cubic_bridgeless_n14 and GP(5, 2)), both
+        # Blanusa snarks, J5 (twice), J3 and J7
+        assert (len(hosts), snarks) == (75, 9)
+
+    def test_reasons_match_backtracker(self):
+        reasons = set()
+        for g in _scan_hosts() + [Graph(0, []), Graph(2, [])]:
+            got = is_snark(g)
+            assert got == _backtracking_is_snark(g), g
+            reasons.add(got[1])
+        assert reasons == {None, "chromatic index 3", "chromatic index 0",
+                           "not connected", "not cubic", "has a bridge"}
+
+    def test_lazy_on_a_large_prism(self, monkeypatch):
+        # the 80-vertex prism GP(40, 1) has millions of perfect
+        # matchings; an even 2-factor turns up within the first few
+        visited = 0
+        search = mkg.edge_coloring._search
+
+        def counted(g, r, allowed, visit):
+            def counting(mt):
+                nonlocal visited
+                visited += 1
+                return visit(mt)
+            return search(g, r, allowed, counting)
+
+        monkeypatch.setattr(mkg.edge_coloring, "_search", counted)
+        assert is_snark(generalized_petersen(40, 1)) == (
+            False, "chromatic index 3")
+        assert 0 < visited < 10

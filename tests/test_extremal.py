@@ -67,6 +67,12 @@ class TestExExact:
         with pytest.raises(ValueError):
             ex_exact(generate("cycle(5)"), 0)
 
+    @pytest.mark.parametrize("r", [True, 2.5, 2.0, "2"])
+    def test_rejects_non_int_r(self, r):
+        # True used to give a certificate with r=True, 2.5 a TypeError
+        with pytest.raises(ValueError, match="an int r >= 1"):
+            ex_exact(generate("petersen"), r)
+
     def test_against_brute_random(self):
         rng = random.Random(616)
         for _ in range(60):
@@ -248,6 +254,83 @@ class TestExExact:
                 cert = ex_exact(g, r)
                 sub = Graph(g.n, [g.edges[e] for e in cert.edges])
                 assert matching_number(sub) <= r - 1
+
+
+def _branch_and_bound_only(monkeypatch, g, r):
+    """ex_exact with the seed proof switched off: the branch and bound
+    alone, seeded with the star as before."""
+    with monkeypatch.context() as patched:
+        patched.setattr(mkg.extremal, "_seed_is_optimal",
+                        lambda *args: False)
+        return ex_exact(g, r)
+
+
+class TestSeedProof:
+    """At n = 2r, ex_exact proves the star seed optimal by a hitting
+    search over perfect matchings before any branch and bound; it must
+    return what the branch and bound alone returns."""
+
+    def test_against_reference_random(self):
+        rng = random.Random(2222)
+        seen = {"isolated": 0, "no perfect matching": 0, "seed beaten": 0}
+        hosts = 0
+        while hosts < 2000:
+            n = 2 * rng.randrange(1, 6)
+            g = random_graph(rng, n, rng.random())
+            if g.m > 18:
+                continue
+            hosts += 1
+            r = n // 2
+            cert = ex_exact(g, r)
+            assert (cert.edges, cert.value) == ref_ex_exact(g, r), g.edges
+            seen["isolated"] += min(g.degree(v) for v in range(n)) == 0
+            seen["no perfect matching"] += matching_number(g) < r
+            seen["seed beaten"] += (
+                cert.value > star_removal_bound(g, r).value)
+        assert min(seen.values()) >= 50, seen
+
+    def test_against_twins(self, monkeypatch):
+        # every fixture graph of even order, K_2r and flower snarks at
+        # r = n/2; the room-only reference search on K8 at r = 4 already
+        # takes a second, so it checks the complete graphs up to K6
+        hosts = [g for path in sorted(helpers.FIXTURES.glob("*.g6"))
+                 for g in load_fixture(path.name) if g.n % 2 == 0 and g.n]
+        hosts += [generate(f"flower({k})") for k in range(3, 8)]
+        complete = [generate(f"complete({2 * r})") for r in range(1, 6)]
+        for g in hosts + complete:
+            r = g.n // 2
+            cert = ex_exact(g, r)
+            assert cert == _branch_and_bound_only(monkeypatch, g, r), g
+            if g not in complete or r <= 3:
+                assert (cert.edges, cert.value) == ref_ex_exact(g, r), g
+            assert validate_certificate(g, cert)
+        assert len(hosts) == 143
+
+    def test_complete_graphs_meet_erdos_gallai(self):
+        # ex(K_2r, rK2) = max{C(2r-1, 2), C(r-1, 2) + (r-1)(r+1)}
+        for r in range(1, 8):
+            cert = ex_exact(generate(f"complete({2 * r})"), r)
+            want = max(comb(2 * r - 1, 2), comb(r - 1, 2) + (r - 1) * (r + 1))
+            assert cert.value == want, r
+
+    def test_blossom_searches_on_flower_j9(self, monkeypatch):
+        # J9 at r = 18: no two edges meet every perfect matching, and the
+        # hitting search proves it in at most n + r + r^2 blossom
+        # searches; the branch and bound alone makes 52,477
+        calls = 0
+        augment = mkg.extremal._augment
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return augment(*args)
+
+        monkeypatch.setattr(mkg.extremal, "_augment", counted)
+        g = generate("flower(9)")
+        r = g.n // 2
+        cert = ex_exact(g, r)
+        assert cert == star_removal_bound(g, r)
+        assert calls <= g.n + r + r * r
 
 
 class TestDegreeCap:

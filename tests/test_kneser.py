@@ -43,6 +43,12 @@ class TestBuildMatchingKneser:
         with pytest.raises(ValueError):
             build_matching_kneser(generate("cycle(5)"), 0)
 
+    @pytest.mark.parametrize("r", [True, 2.5, 2.0, "2", -1])
+    def test_rejects_non_int_r(self, r):
+        # "2" used to raise TypeError from the r < 1 test
+        with pytest.raises(ValueError, match="an int r >= 1"):
+            build_matching_kneser(generate("petersen"), r)
+
     def test_vertex_order_matches_enumeration(self):
         g = generate("petersen")
         kg = build_matching_kneser(g, 3)

@@ -97,9 +97,12 @@ class TestSearchTwin:
         for allowed in [None] + [rng.getrandbits(g.m)
                                  for _ in range(subsets)]:
             for first in (False, True):
-                assert (_search(g, r, allowed, first)
-                        == ref_r_matchings(g, r, allowed, first)), (
+                seen = []
+                stopped = _search(g, r, allowed,
+                                  lambda mt: seen.append(mt) or first)
+                assert seen == ref_r_matchings(g, r, allowed, first), (
                     g.edges, r, allowed, first)
+                assert stopped == (first and bool(seen))
 
     def test_catalog(self):
         rng = random.Random(14)
@@ -137,10 +140,11 @@ class TestSearchTwin:
         # as r = 1; every entry point into _search rejects them
         g = generate("petersen")
         for call in (lambda: enumerate_matchings(g, r),
-                     lambda: has_matching_of_size(g, r),
-                     lambda: build_matching_kneser(g, r)):
+                     lambda: has_matching_of_size(g, r)):
             with pytest.raises(ValueError, match="int >= 0"):
                 call()
+        with pytest.raises(ValueError, match="an int r >= 1"):
+            build_matching_kneser(g, r)
 
 
 class TestAugmentTwin:
