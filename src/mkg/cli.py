@@ -16,7 +16,8 @@ import sys
 from .coloring import DEFAULT_BUDGET
 from .edge_coloring import chromatic_index
 from .extremal import ex_exact
-from .graph_core import Graph6Error, open_graph6, parse_graph6
+from .graph_core import (Graph6Error, check_count, open_graph6,
+                         parse_graph6)
 from .kneser import KneserGraph, build_matching_kneser, to_dot
 from .verifier import (ConjectureReport, ScanError, SelfCheckError,
                        VERDICT_COUNTEREXAMPLE, VERDICT_UNDECIDED,
@@ -155,8 +156,10 @@ def _positive_int(value: str) -> int:
         n = parse_decimal(value)
     except ValueError:
         raise argparse.ArgumentTypeError("must be an integer") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+    try:
+        check_count(n, 1, "value")
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be >= 1") from None
     return n
 
 

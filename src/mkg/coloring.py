@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .graph_core import allow_recursion, bit_indices
+from .graph_core import allow_recursion, bit_indices, check_count
 from .kneser import KneserGraph
 
 DEFAULT_BUDGET = 10_000_000
@@ -402,8 +402,10 @@ def chromatic_number(kg, budget: int = DEFAULT_BUDGET):
     also bound its lower-bound clique search.  Conventions: the null graph
     has chi 0, a nonempty edgeless graph has chi 1 (the counterexample
     arithmetic depends on the latter).  Raises BudgetExhausted, with the
-    best bounds found, if the search exceeds the node budget.
+    best bounds found, if the search exceeds the node budget, a count
+    >= 0 (graph_core.check_count).
     """
+    check_count(budget, 0, "budget")
     n, m, masks = kg.n, kg.m, kg.rows
     if n == 0:
         return 0, Coloring((), 0)

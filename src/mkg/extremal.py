@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import Graph, allow_recursion, bit_indices
+from .graph_core import Graph, allow_recursion, bit_indices, check_count
 from .matchings import _augment, has_matching_of_size
 
 
@@ -61,8 +61,10 @@ def star_removal_bound(g: Graph, r: int) -> ExtremalCertificate | None:
     Only applicable when n = 2r; then every r-matching is perfect, so it
     must cover the chosen vertex, and removing that vertex's edges kills
     them all.  Keeps m - delta(G) edges.  The vertex is the lowest-index
-    one of minimum degree.  Returns None when n != 2r (not an error).
+    one of minimum degree.  Returns None when n != 2r (not an error);
+    r is a count >= 1 (graph_core.check_count).
     """
+    check_count(r, 1, "r")
     if g.n != 2 * r:
         return None
     v = min(range(g.n), key=lambda u: (g.degree(u), u))
@@ -73,10 +75,10 @@ def star_removal_bound(g: Graph, r: int) -> ExtremalCertificate | None:
 def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
     """Exact ex(g, rK2) with a witnessing certificate.
 
-    r must be an int >= 1, else ValueError (a bool is not taken).
-    Seeded with star_removal_bound when n = 2r, otherwise unseeded; the
-    branch and bound only chases strict improvements, so when the seed is
-    already optimal it is returned unchanged.  At n = 2r _seed_is_optimal
+    r is a count >= 1 (graph_core.check_count).  Seeded with
+    star_removal_bound when n = 2r, otherwise unseeded; the branch and
+    bound only chases strict improvements, so when the seed is already
+    optimal it is returned unchanged.  At n = 2r _seed_is_optimal
     first tries to prove that from perfect matchings alone, and when it
     does the seed is returned without a branch and bound; this is exact,
     since the branch and bound would meet no strictly better leaf and
@@ -108,8 +110,7 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
     meets the same incumbents, and returns the same set, as with the
     room bound alone.
     """
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-        raise ValueError(f"ex_exact needs an int r >= 1, got {r!r}")
+    check_count(r, 1, "r")
     m = g.m
     n = g.n
     deg = [g.degree(v) for v in range(n)]  # degrees in P = K + undecided
@@ -289,10 +290,22 @@ def validate_certificate(g: Graph, cert: ExtremalCertificate) -> bool:
 
     Runs the matchings backtracker over the certificate's edges, a
     different code path from the blossom search used inside ex_exact.
+    Answers False, and never raises, for a malformed certificate: r, the
+    value and every edge index must pass graph_core.check_count, each
+    edge index must be below m, and the value must count the distinct
+    edges.
     """
-    if cert.value != len(cert.edges) or cert.r < 1:
+    mask = 0
+    try:
+        check_count(cert.r, 1, "r")
+        check_count(cert.value, 0, "value")
+        for e in cert.edges:
+            check_count(e, 0, "edge index")
+            if e >= g.m:
+                return False
+            mask |= 1 << e
+    except ValueError:
         return False
-    if any(not 0 <= e < g.m for e in cert.edges):
+    if cert.value != mask.bit_count():
         return False
-    mask = sum(1 << e for e in cert.edges)
     return has_matching_of_size(g, cert.r, allowed=mask) is None

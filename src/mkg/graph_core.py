@@ -43,6 +43,14 @@ def allow_recursion(depth: int) -> None:
         sys.setrecursionlimit(need)
 
 
+def check_count(value, floor: int, name: str) -> None:
+    """The one rule for a count argument (a vertex count, a matching
+    size r, a node budget, an edge index): raise ValueError unless value
+    is an int, not a bool, and at least floor."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+        raise ValueError(f"expected an int {name} >= {floor}, got {value!r}")
+
+
 class Graph:
     """Immutable simple graph with canonical (sorted) edge indexing.
 
@@ -62,8 +70,7 @@ class Graph:
     __slots__ = ("n", "edges", "m", "rows")
 
     def __init__(self, n: int, edges=()):
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
+        check_count(n, 0, "n")
         canon = []
         for u, v in edges:
             if u == v:
@@ -210,28 +217,24 @@ def petersen() -> Graph:
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
+    check_count(n, 3, "n")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete needs n >= 1")
+    check_count(n, 1, "n")
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def star(k: int) -> Graph:
     """K_{1,k}: hub 0 joined to leaves 1..k."""
-    if k < 1:
-        raise ValueError("star needs k >= 1")
+    check_count(k, 1, "k")
     return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
 def disjoint_matching(n: int) -> Graph:
     """nK2: n disjoint edges (2i, 2i+1) on 2n vertices."""
-    if n < 1:
-        raise ValueError("disjoint_matching needs n >= 1")
+    check_count(n, 1, "n")
     return Graph(2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
 
 
@@ -240,8 +243,7 @@ def flower(k: int) -> Graph:
     A_i-(B_i, C_i, D_i) with A_i = i, B_i = k + i, C_i = 2k + i and
     D_i = 3k + i, a k-cycle on the B_i, and one 2k-cycle
     C_0..C_{k-1} D_0..D_{k-1}."""
-    if k < 3:
-        raise ValueError("flower needs k >= 3")
+    check_count(k, 3, "k")
     edges = []
     for i in range(k):
         edges += [(i, k + i), (i, 2 * k + i), (i, 3 * k + i),
@@ -250,6 +252,18 @@ def flower(k: int) -> Graph:
         edges += [(2 * k + i, 2 * k + i + 1), (3 * k + i, 3 * k + i + 1)]
     edges += [(3 * k - 1, 3 * k), (4 * k - 1, 2 * k)]
     return Graph(4 * k, edges)
+
+
+def generalized_petersen(k: int, s: int) -> Graph:
+    """GP(k, s), k >= 3 and s >= 1 (usually s < k/2): an outer k-cycle
+    u_i = i, spokes to v_i = k + i, and inner edges v_i v_{i+s}.
+    GP(k, 1) is the k-prism and GP(5, 2) the Petersen graph."""
+    check_count(k, 3, "k")
+    check_count(s, 1, "s")
+    edges = []
+    for i in range(k):
+        edges += [(i, (i + 1) % k), (i, k + i), (k + i, k + (i + s) % k)]
+    return Graph(2 * k, edges)
 
 
 # [0-9], not \d: \d also matches non-ASCII digits such as "٣"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph_core import Graph, bit_indices, disjoint_matching
+from .graph_core import Graph, bit_indices, check_count, disjoint_matching
 from .matchings import enumerate_matchings
 
 
@@ -49,16 +49,14 @@ def _from_rows(base: Graph, r: int, verts, rows: list[int]) -> KneserGraph:
 def build_matching_kneser(g: Graph, r: int) -> KneserGraph:
     """KG(g, rK2) over all r-matchings of g.
 
-    r must be an int >= 1 (not a bool), else ValueError; r=0 would give
-    a degenerate one-vertex graph that answers nothing.  Zero
+    r is a count >= 1 (graph_core.check_count); r=0 would give a
+    degenerate one-vertex graph that answers nothing.  Zero
     r-matchings yield a null derived graph.  With contains[e] the
     bitmask of the r-matchings that use host edge e, the row of matching
     M is everything outside the OR of contains[e] over e in M: O(N*r)
     big-int operations, no pair tests.
     """
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-        raise ValueError(
-            f"build_matching_kneser needs an int r >= 1, got {r!r}")
+    check_count(r, 1, "r")
     verts = enumerate_matchings(g, r)
     contains = [0] * g.m
     for i, mt in enumerate(verts):
@@ -85,8 +83,8 @@ def build_kneser(n: int, r: int) -> KneserGraph:
     masks, to keep the isomorphism check two-sided.  n < r gives a null
     derived graph.
     """
-    if n < 1 or r < 1:
-        raise ValueError("build_kneser requires n >= 1 and r >= 1")
+    check_count(n, 1, "n")
+    check_count(r, 1, "r")
     base = disjoint_matching(n)
     subs = list(combinations(range(n), r))
     masks = [sum(1 << x for x in s) for s in subs]

@@ -20,7 +20,7 @@ for ex_exact.
 
 from __future__ import annotations
 
-from .graph_core import Graph
+from .graph_core import Graph, check_count
 
 
 def _search(g: Graph, r: int, allowed, visit) -> bool:
@@ -44,8 +44,7 @@ def _search(g: Graph, r: int, allowed, visit) -> bool:
     the matching visit accepts, so a caller that wants a matching with
     some property pays only for the matchings before it.
     """
-    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
-        raise ValueError(f"matching size must be an int >= 0, got {r!r}")
+    check_count(r, 0, "r")
     slack = g.n - 2 * r
     if slack < 0:
         return False
@@ -91,12 +90,15 @@ def has_matching_of_size(g: Graph, r: int, allowed=None):
     """First r-matching of g using only allowed edges, or None.
 
     allowed is None (all edges) or an int bitmask over the edge indices
-    0..m-1; a negative mask or one with a bit at m or above raises
-    ValueError.  The witness is the first r-matching in enumeration
-    order; validate_certificate leans on this check.
+    0..m-1: anything check_count rejects as a count, or a mask with a
+    bit at m or above, raises ValueError.  The witness is the first
+    r-matching in enumeration order; validate_certificate leans on this
+    check.
     """
-    if allowed is not None and (allowed < 0 or allowed >> g.m):
-        raise ValueError(f"allowed must be an edge bitmask below 2**{g.m}")
+    if allowed is not None:
+        check_count(allowed, 0, "allowed")
+        if allowed >> g.m:
+            raise ValueError(f"allowed must be an edge bitmask below 2**{g.m}")
     found: list[tuple[int, ...]] = []
     _search(g, r, allowed, lambda mt: found.append(mt) or True)
     return found[0] if found else None

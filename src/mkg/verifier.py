@@ -21,8 +21,8 @@ from .coloring import (BudgetExhausted, DEFAULT_BUDGET, chromatic_number,
                        validate_coloring)
 from .edge_coloring import is_snark
 from .extremal import ex_exact, validate_certificate
-from .graph_core import (Graph, Graph6Error, is_connected, open_graph6,
-                         parse_graph6, write_graph6)
+from .graph_core import (Graph, Graph6Error, check_count, is_connected,
+                         open_graph6, parse_graph6, write_graph6)
 from .kneser import build_matching_kneser
 from .matchings import pairwise_intersect
 
@@ -86,10 +86,11 @@ def verify_conjecture(g: Graph, r: int,
     Before any report is returned the ex certificate, and the coloring
     when one was found, are re-checked by independent code, and chi (or,
     when undecided, its lower bound) is checked against the theorem
-    chi <= rhs; a failure raises SelfCheckError.
+    chi <= rhs; a failure raises SelfCheckError.  r is a count >= 1 and
+    budget one >= 0 (graph_core.check_count), checked before any search.
     """
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-        raise ValueError(f"verify_conjecture needs an int r >= 1, got {r!r}")
+    check_count(r, 1, "r")
+    check_count(budget, 0, "budget")
     kg = build_matching_kneser(g, r)
     cert = ex_exact(g, r)
     if not validate_certificate(g, cert):
@@ -176,8 +177,10 @@ def parse_r_policy(r_policy):
     except ValueError:
         raise ValueError("r-policy must be an integer or 'half-order', "
                          f"got {r_policy!r}") from None
-    if r < 1:
-        raise ValueError(f"r-policy must be >= 1, got {r}")
+    try:
+        check_count(r, 1, "r")
+    except ValueError:
+        raise ValueError(f"r-policy must be >= 1, got {r}") from None
     return r
 
 
@@ -196,13 +199,14 @@ def report_for(g: Graph, r_policy,
 def scan_lines(lines, r_policy, budget: int = DEFAULT_BUDGET):
     """Reports for an iterable of graph6 lines, in input order.
 
-    r_policy is checked by parse_r_policy before the first line is
-    pulled.  Blank lines are skipped.  Yields ConjectureReport and
-    ScanError records, one per non-blank line, pulling the next line
-    only after the current record is consumed, so the catalog is never
-    held in memory whole.
+    r_policy is checked by parse_r_policy, and budget as a count >= 0
+    (graph_core.check_count), before the first line is pulled.  Blank
+    lines are skipped.  Yields ConjectureReport and ScanError records,
+    one per non-blank line, pulling the next line only after the current
+    record is consumed, so the catalog is never held in memory whole.
     """
     r_policy = parse_r_policy(r_policy)
+    check_count(budget, 0, "budget")
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:

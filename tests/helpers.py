@@ -34,6 +34,12 @@ def run_fresh(argv, env=None, **kwargs):
                           timeout=60, **kwargs)
 
 
+def bad_counts(floor: int) -> list:
+    """Values that graph_core.check_count rejects for a count >= floor:
+    a bool, two floats, a digit string and floor - 1."""
+    return [True, 2.5, 2.0, "2", floor - 1]
+
+
 def load_fixture(name):
     out = []
     for line in (FIXTURES / name).read_text().splitlines():
@@ -47,16 +53,6 @@ def random_graph(rng: Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return Graph(n, edges)
-
-
-def generalized_petersen(k: int, s: int) -> Graph:
-    """GP(k, s), 1 <= s < k/2: an outer k-cycle u_i = i, spokes to
-    v_i = k + i, and inner edges v_i v_{i+s}.  GP(k, 1) is the k-prism
-    and GP(5, 2) the Petersen graph."""
-    edges = []
-    for i in range(k):
-        edges += [(i, (i + 1) % k), (i, k + i), (k + i, k + (i + s) % k)]
-    return Graph(2 * k, edges)
 
 
 def brute_matching_number(g: Graph) -> int:

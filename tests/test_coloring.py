@@ -6,8 +6,8 @@ import types
 
 import pytest
 
-from helpers import (brute_chromatic, brute_clique_number, load_fixture,
-                     random_graph, ref_cover_bnb, ref_dsatur_bnb)
+from helpers import (bad_counts, brute_chromatic, brute_clique_number,
+                     load_fixture, random_graph, ref_cover_bnb, ref_dsatur_bnb)
 from mkg import (
     BudgetExhausted,
     Coloring,
@@ -338,6 +338,11 @@ class TestBudget:
         assert err.budget == 0
         assert 0 < err.lower_bound <= 3 <= err.upper_bound
         assert "exhausted" in str(err)
+
+    @pytest.mark.parametrize("budget", bad_counts(0))
+    def test_rejects_non_int_budget(self, budget):
+        with pytest.raises(ValueError, match="an int budget >= 0"):
+            chromatic_number(generate("cycle(5)"), budget=budget)
 
     def test_big_budget_fine(self):
         chi, _ = chromatic_number(generate("petersen"), budget=10**6)

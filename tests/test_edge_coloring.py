@@ -4,10 +4,9 @@ import time
 from itertools import combinations
 
 import mkg.edge_coloring
-from helpers import (FIXTURES, brute_chromatic, generalized_petersen,
-                     load_fixture, random_graph)
-from mkg import (Graph, bridges, generate, is_connected, is_cubic,
-                 perfect_matchings_pairwise_intersect)
+from helpers import FIXTURES, brute_chromatic, load_fixture, random_graph
+from mkg import (Graph, bridges, generalized_petersen, generate, is_connected,
+                 is_cubic, perfect_matchings_pairwise_intersect)
 from mkg.edge_coloring import (_backtrack_edge_coloring, chromatic_index,
                                is_snark)
 from mkg.matchings import enumerate_perfect_matchings

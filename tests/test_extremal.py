@@ -9,6 +9,7 @@ import helpers
 import mkg.extremal
 import mkg.matchings
 from helpers import (
+    bad_counts,
     brute_ex,
     brute_ex_keep_first,
     brute_ex_multi,
@@ -67,11 +68,13 @@ class TestExExact:
         with pytest.raises(ValueError):
             ex_exact(generate("cycle(5)"), 0)
 
-    @pytest.mark.parametrize("r", [True, 2.5, 2.0, "2"])
+    @pytest.mark.parametrize("r", bad_counts(1))
     def test_rejects_non_int_r(self, r):
-        # True used to give a certificate with r=True, 2.5 a TypeError
-        with pytest.raises(ValueError, match="an int r >= 1"):
-            ex_exact(generate("petersen"), r)
+        # True used to give a certificate with r=True, 2.5 a TypeError,
+        # and star_removal_bound(petersen, 5.0) a certificate with r=5.0
+        for call in (ex_exact, star_removal_bound):
+            with pytest.raises(ValueError, match="an int r >= 1"):
+                call(generate("petersen"), r)
 
     def test_against_brute_random(self):
         rng = random.Random(616)
@@ -381,6 +384,15 @@ class TestValidateCertificate:
             g, ExtremalCertificate(frozenset({0, 9}), 2, 2))  # out of range
         assert not validate_certificate(
             g, ExtremalCertificate(frozenset(range(5)), 5, 2))  # has 2-matching
+        # malformed counts answer False: r = 2.0 used to raise ValueError
+        # from the matching search, edge 2.5 a TypeError, and edge True
+        # counted as edge 1; edges [1, 1, 3] used to be summed into the
+        # mask of edges 2 and 3 and pass as a value of 3 > ex(C5, 2K2)
+        for cert in (ExtremalCertificate(frozenset({0}), 1, 2.0),
+                     ExtremalCertificate(frozenset({2.5}), 1, 2),
+                     ExtremalCertificate(frozenset({True}), 1, 2),
+                     ExtremalCertificate([1, 1, 3], 3, 2)):
+            assert validate_certificate(g, cert) is False
 
     def test_recheck_is_independent_of_the_search(self, monkeypatch):
         # the search grows matchings with the blossom search; the re-check

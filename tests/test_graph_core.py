@@ -3,16 +3,23 @@ import random
 import pytest
 
 import networkx as nx
-from helpers import (FIXTURES, load_fixture, random_graph,
+from helpers import (FIXTURES, bad_counts, load_fixture, random_graph,
                      reachability_connected)
 from mkg import (
     Graph,
     Graph6Error,
     bridges,
+    complete,
+    cycle,
+    disjoint_matching,
+    flower,
+    generalized_petersen,
     generate,
     is_connected,
     is_cubic,
     parse_graph6,
+    petersen,
+    star,
     write_graph6,
 )
 
@@ -160,6 +167,26 @@ class TestGenerators:
             assert is_cubic(g) and is_connected(g) and not bridges(g)
         with pytest.raises(ValueError):
             generate("flower(2)")
+
+    def test_generalized_petersen(self):
+        assert generalized_petersen(5, 2) == petersen()
+        for k in (3, 4, 7):
+            g = generalized_petersen(k, 1)  # the k-prism
+            assert g.n == 2 * k and g.m == 3 * k and is_cubic(g)
+
+    @pytest.mark.parametrize("build, floor, name", [
+        (Graph, 0, "n"), (cycle, 3, "n"), (complete, 1, "n"),
+        (star, 1, "k"), (disjoint_matching, 1, "n"), (flower, 3, "k"),
+        (lambda k: generalized_petersen(k, 1), 3, "k"),
+        (lambda s: generalized_petersen(7, s), 1, "s"),
+    ], ids=["Graph", "cycle", "complete", "star", "disjoint_matching",
+            "flower", "generalized_petersen_k", "generalized_petersen_s"])
+    def test_rejects_non_int_count(self, build, floor, name):
+        # Graph(True) and complete(True) used to build K1, and Graph(2.5),
+        # cycle(5.0) and flower(5.0) raised TypeError
+        for bad in bad_counts(floor):
+            with pytest.raises(ValueError, match=f"an int {name} >= {floor}"):
+                build(bad)
 
 
 class TestConnectivity:

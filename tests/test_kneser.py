@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from helpers import random_graph
+from helpers import bad_counts, random_graph
 from mkg import (
     Graph,
     build_kneser,
@@ -43,7 +43,7 @@ class TestBuildMatchingKneser:
         with pytest.raises(ValueError):
             build_matching_kneser(generate("cycle(5)"), 0)
 
-    @pytest.mark.parametrize("r", [True, 2.5, 2.0, "2", -1])
+    @pytest.mark.parametrize("r", [*bad_counts(1), -1])
     def test_rejects_non_int_r(self, r):
         # "2" used to raise TypeError from the r < 1 test
         with pytest.raises(ValueError, match="an int r >= 1"):
@@ -91,10 +91,12 @@ class TestBuildKneser:
         assert res.equivalent and res.method == "isomorphism"
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            build_kneser(0, 2)
-        with pytest.raises(ValueError):
-            build_kneser(5, 0)
+        # build_kneser(True, True) used to build KG(1, 1)
+        for bad in bad_counts(1):
+            with pytest.raises(ValueError, match="an int n >= 1"):
+                build_kneser(bad, 2)
+            with pytest.raises(ValueError, match="an int r >= 1"):
+                build_kneser(5, bad)
 
     def test_rows_equal_matching_route(self):
         # same vertex order on both sides, so the rows must agree exactly,

@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from helpers import (FIXTURES, brute_matching_number, brute_matchings,
-                     load_fixture, random_graph, ref_augment, ref_r_matchings)
+from helpers import (FIXTURES, bad_counts, brute_matching_number,
+                     brute_matchings, load_fixture, random_graph, ref_augment,
+                     ref_r_matchings)
 from mkg import (
     Graph,
     build_matching_kneser,
@@ -134,14 +135,14 @@ class TestSearchTwin:
         with pytest.raises(ValueError):
             enumerate_matchings(generate("cycle(4)"), -1)
 
-    @pytest.mark.parametrize("r", [True, 2.5, 2.0])
+    @pytest.mark.parametrize("r", bad_counts(0))
     def test_non_int_size(self, r):
         # 2.5 used to fail with IndexError inside _search, and True ran
         # as r = 1; every entry point into _search rejects them
         g = generate("petersen")
         for call in (lambda: enumerate_matchings(g, r),
                      lambda: has_matching_of_size(g, r)):
-            with pytest.raises(ValueError, match="int >= 0"):
+            with pytest.raises(ValueError, match="an int r >= 0"):
                 call()
         with pytest.raises(ValueError, match="an int r >= 1"):
             build_matching_kneser(g, r)
@@ -228,6 +229,10 @@ class TestHasMatching:
         for bad in (-1, -(1 << 6), 1 << 6, 1 << 40, (1 << 7) - 1):
             with pytest.raises(ValueError):
                 has_matching_of_size(g, 2, allowed=bad)
+        # True used to read as the mask of edge 0
+        for bad in bad_counts(0):
+            with pytest.raises(ValueError, match="an int allowed >= 0"):
+                has_matching_of_size(g, 1, allowed=bad)
         assert has_matching_of_size(g, 2, allowed=(1 << 6) - 1) == (0, 3)
         assert has_matching_of_size(g, 2, allowed=0) is None
         assert has_matching_of_size(g, 0, allowed=0) == ()

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from helpers import FIXTURES, load_fixture, random_graph
+import mkg.verifier
+from helpers import FIXTURES, bad_counts, load_fixture, random_graph
 from mkg import (
     ConjectureReport,
     Graph,
@@ -96,12 +97,25 @@ class TestVerifyConjecture:
         with pytest.raises(ValueError):
             verify_conjecture(generate("cycle(5)"), 0)
 
-    @pytest.mark.parametrize("r", [True, 2.5, 2.0, "2"])
+    @pytest.mark.parametrize("r", bad_counts(1))
     def test_rejects_non_int_r(self, r):
         # True would run as r = 1 and write "r":true; 2.5 used to fail
         # with IndexError deep in the matching search
         with pytest.raises(ValueError, match="an int r >= 1"):
             verify_conjecture(generate("petersen"), r)
+
+    @pytest.mark.parametrize("budget", bad_counts(0) + ["x"])
+    def test_rejects_non_int_budget_before_any_search(self, budget,
+                                                      monkeypatch):
+        # "x" used to run the Kneser build, ex and the snark test and then
+        # fail with TypeError inside chi
+        builds = []
+        real = mkg.verifier.build_matching_kneser
+        monkeypatch.setattr(mkg.verifier, "build_matching_kneser",
+                            lambda g, r: builds.append(r) or real(g, r))
+        with pytest.raises(ValueError, match="an int budget >= 0"):
+            verify_conjecture(generate("complete(6)"), 2, budget=budget)
+        assert builds == []
 
     def test_undecided_on_tiny_budget(self):
         rep = verify_conjecture(generate("complete(7)"), 2, budget=3)
@@ -204,6 +218,23 @@ class TestScan:
         with pytest.raises(ValueError):
             next(scan_lines(lines(), policy))
         assert pulled == []
+
+    @pytest.mark.parametrize("budget", bad_counts(0))
+    def test_bad_budget_raises_before_any_line(self, budget, tmp_path):
+        pulled = []
+
+        def lines():
+            for g in (generate("cycle(4)"), generate("cycle(5)")):
+                pulled.append(g)
+                yield write_graph6(g)
+
+        with pytest.raises(ValueError, match="an int budget >= 0"):
+            next(scan_lines(lines(), 2, budget=budget))
+        assert pulled == []
+        path = tmp_path / "c.g6"
+        path.write_text(write_graph6(generate("cycle(4)")) + "\n")
+        with pytest.raises(ValueError, match="an int budget >= 0"):
+            next(scan_catalog(path, 2, budget=budget))
 
     def test_parse_r_policy(self):
         assert parse_r_policy(3) == parse_r_policy("3") == 3

@@ -27,8 +27,8 @@ from networkx.generators.atlas import graph_atlas_g
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mkg import (Graph, bridges, complete, flower, is_connected, is_cubic,
-                 is_snark, petersen, write_graph6)
+from mkg import (Graph, bridges, complete, flower, generalized_petersen,
+                 is_connected, is_cubic, is_snark, petersen, write_graph6)
 from mkg.graph_core import bit_indices
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -124,14 +124,6 @@ def mobius_ladder(k: int) -> Graph:
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(i, i + k) for i in range(k)]
     return Graph(n, edges)
-
-
-def generalized_petersen(k: int, step: int) -> Graph:
-    edges = []
-    for i in range(k):
-        edges += [(i, (i + 1) % k), (i, k + i),
-                  (k + i, k + (i + step) % k)]
-    return Graph(2 * k, edges)
 
 
 def k33() -> Graph:
