@@ -23,7 +23,11 @@ index), keeps one bitmask of uncolored vertices per saturation level and
 one bitmask per color of the uncolored vertices next to that color; its
 next vertex is the lowest bit of the highest nonempty level.  The cover
 search keeps a second uncovered bitmask relabelled by rarity, so the
-rarest uncovered vertex is its lowest bit.
+rarest uncovered vertex is its lowest bit.  It decides each child in its
+parent's loop (count, leaf, memo, alpha and clique bounds), so only the
+children it expands cost a call, and it carries the greedy clique bound
+down: a child reuses the prefix of its parent's clique that the chosen
+set does not meet and grows only the rest.
 """
 
 from __future__ import annotations
@@ -269,8 +273,11 @@ def _maximal_independent_sets(masks, n):
                 raise _MisOverflow
             return
         # pivot: candidate from p|x with the most neighbors in p (this walk
-        # and the one below run per node, where inline beat bit_indices)
+        # and the one below run per node, where inline beat bit_indices).
+        # No count exceeds |p|, so the walk stops at the first candidate
+        # that reaches it; ties keep the first anyway
         pu, best = -1, -1
+        top = p.bit_count()
         rest = p | x
         while rest:
             bit = rest & -rest
@@ -280,6 +287,8 @@ def _maximal_independent_sets(masks, n):
             if cnt > best:
                 best = cnt
                 pu = u
+                if cnt == top:
+                    break
         ext = p & ~cmask[pu]
         while ext:
             bit = ext & -ext
@@ -298,11 +307,21 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
     """Minimum cover of V by maximal independent sets == chi.
 
     Branch on the uncovered vertex that appears in the fewest sets;
-    candidates ordered by coverage of what remains.  A dominance memo on
-    the uncovered bitmask (keyed to the best depth that reached it) plus
-    a greedy clique bound on the uncovered subgraph do the heavy lifting.
-    Returns (k, colors); raises _MisOverflow if the MIS family is
-    too large to enumerate (caller falls back to DSATUR).
+    candidates ordered by coverage of what remains, ties to the lower set
+    index.  A dominance memo on the uncovered bitmask (keyed to the best
+    depth that reached it) plus the alpha bound and a greedy clique bound
+    on the uncovered subgraph do the heavy lifting.  Returns (k, colors);
+    raises _MisOverflow if the MIS family is too large to enumerate
+    (caller falls back to DSATUR).
+
+    Each child is decided in its parent's loop: the parent counts it,
+    records it if it is a leaf, and applies the memo and both bounds, and
+    only a child that passes them all costs a call.  The root is decided
+    the same way, as the child of a virtual parent that chose an empty
+    set.  The greedy clique (lowest vertex first) is carried down: an
+    independent set meets it in at most one vertex, so a child keeps its
+    parent's clique up to that vertex and grows the rest again from the
+    candidate mask stored there.
     """
     sets = _maximal_independent_sets(masks, n)
     alpha = max(s.bit_count() for s in sets)
@@ -328,58 +347,84 @@ def _cover_bnb(masks, n, lb, ub0, cols0, budget):
             rest ^= bit
         rsets.append(rs)
 
+    full = (1 << n) - 1
+    # what each set leaves uncovered, in both labellings; the last entry,
+    # an empty set, is the virtual parent's choice that reaches the root
+    keep = [full ^ s for s in sets] + [full]
+    rkeep = [full ^ rs for rs in rsets] + [full]
+    root = len(sets)
     best_k = ub0
     best_sets = None
-    full = (1 << n) - 1
-    chosen = []
+    # path[d] is the set chosen to reach depth d (path[0] goes unread)
+    path = [root] * (ub0 + 1)
     seen = {}
+    unseen = ub0 + 1  # deeper than any node, the memo's default
     nodes = 0
 
-    def rec(unc, runc, depth):
+    def expand(kids, depth, runc, qmask, cs):
+        """Decide each child (uncovered count, set index, uncovered mask)
+        of kids, in that order, at the given depth, and expand those that
+        pass.  runc is the parent's uncovered mask relabelled by rarity.
+        qmask is the vertex bitmask of the parent's greedy clique, and for
+        any child, cs[j] & child is the candidate mask whose lowest bit is
+        the clique's j-th vertex; so cs[-1] & child is 0, except at the
+        root, whose virtual parent has no clique and cs = [full]."""
         nonlocal best_k, best_sets, nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExhausted(lb, best_k, budget)
-        if unc == 0:
-            if depth < best_k:
-                best_k = depth
-                best_sets = list(chosen)
-            return
-        prev = seen.get(unc)
-        if prev is not None and prev <= depth:
-            return
-        if len(seen) < _MEMO_CAP:
-            seen[unc] = depth
-        # every set covers at most alpha vertices, and every vertex of a
-        # clique in the uncovered subgraph needs its own set.  The greedy
-        # clique (lowest vertex first) prunes once it reaches room
-        # vertices, so it is grown no further than that.
-        room = best_k - depth
-        if -(-unc.bit_count() // alpha) >= room:
-            return
-        cand = unc
-        for _ in range(room - 1):
-            cand &= masks[(cand & -cand).bit_length() - 1]
-            if not cand:
-                break
-        else:
-            return
-        v = rarity[(runc & -runc).bit_length() - 1]
-        # covers[v] ascends and the sort is stable, so ties go to the
-        # lower set index
-        for i in sorted(covers[v],
-                        key=lambda i: -(sets[i] & unc).bit_count()):
-            chosen.append(i)
-            rec(unc & ~sets[i], runc & ~rsets[i], depth + 1)
-            chosen.pop()
+        for cnt, i, child in kids:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExhausted(lb, best_k, budget)
+            if not child:
+                if depth < best_k:
+                    best_k = depth
+                    path[depth] = i
+                    best_sets = path[1:depth + 1]
+            elif seen.get(child, unseen) > depth:
+                if len(seen) < _MEMO_CAP:
+                    seen[child] = depth
+                # every set covers at most alpha vertices, and every
+                # vertex of a clique in the uncovered subgraph needs its
+                # own set; the clique is grown no further than room
+                room = best_k - depth
+                if cnt <= (room - 1) * alpha:
+                    # the set meets the parent's clique in at most its
+                    # hit vertex; the child keeps the clique below it
+                    hit = qmask ^ (qmask & child)
+                    size = j = (qmask & (hit - 1)).bit_count()
+                    cand = cs[j] & child
+                    # most children are pruned here, so this walk only
+                    # counts; an expanded child records its clique below
+                    while cand and size < room:
+                        cand &= masks[(cand & -cand).bit_length() - 1]
+                        size += 1
+                    if size < room:
+                        # a child that misses the clique keeps it whole
+                        cq, ccs = qmask, cs
+                        if size > j or hit:
+                            cq &= hit - 1
+                            ccs = cs[:j + 1]
+                            cand = cs[j] & child
+                            while cand:
+                                bit = cand & -cand
+                                cq |= bit
+                                cand &= masks[bit.bit_length() - 1]
+                                ccs.append(cand)
+                        path[depth] = i
+                        crunc = runc & rkeep[i]
+                        v = rarity[(crunc & -crunc).bit_length() - 1]
+                        # fewest left uncovered first, ties to the lower
+                        # set index; the masks are never compared
+                        expand(sorted([((c := child & keep[k]).bit_count(),
+                                        k, c) for k in covers[v]]),
+                               depth + 1, crunc, cq, ccs)
             if best_k == lb:
                 return
 
     allow_recursion(ub0)
     try:
-        rec(full, full, 0)
+        expand([(n, root, full)], 0, full, 0, [full])
     finally:
-        # rec reaches itself through its closure, so the memo, by far the
+        # expand reaches itself through its closure, so the memo, by far the
         # largest local, would otherwise live on until a cyclic GC pass
         seen.clear()
     if best_sets is None:

@@ -220,10 +220,28 @@ def schonberger_check(g: Graph):
 
 def pairwise_intersect(matchings) -> bool:
     """True iff every two of the given matchings share an edge; vacuously
-    true for fewer than two."""
-    masks = [sum(1 << e for e in mt) for mt in matchings]
-    return all(masks[i] & masks[j]
-               for i in range(len(masks)) for j in range(i + 1, len(masks)))
+    true for fewer than two.
+
+    Linear in the total size of the matchings rather than quadratic in
+    their number: holders[e] is the bitmask of the matchings that contain
+    edge e, so matching M meets every matching iff the union of
+    holders[e] over the edges e of M is all of them.
+    """
+    matchings = list(matchings)
+    if len(matchings) < 2:
+        return True
+    holders = {}
+    for j, mt in enumerate(matchings):
+        for e in mt:
+            holders[e] = holders.get(e, 0) | 1 << j
+    everyone = (1 << len(matchings)) - 1
+    for mt in matchings:
+        met = 0
+        for e in mt:
+            met |= holders[e]
+        if met != everyone:
+            return False
+    return True
 
 
 def perfect_matchings_pairwise_intersect(g: Graph) -> bool:

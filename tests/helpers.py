@@ -185,6 +185,14 @@ def ref_augment(n: int, rows, match, root: int) -> bool:
     return False
 
 
+def ref_pairwise_intersect(matchings) -> bool:
+    """Every two of the matchings share an edge, by testing each pair of
+    edge masks: the quadratic form of mkg.matchings.pairwise_intersect."""
+    masks = [sum(1 << e for e in mt) for mt in matchings]
+    return all(masks[i] & masks[j]
+               for i in range(len(masks)) for j in range(i + 1, len(masks)))
+
+
 def _rows_to_lists(g):
     """Neighbor lists, ascending, from the adjacency bitmasks g.rows."""
     return [[w for w in range(g.n) if row >> w & 1] for row in g.rows]

@@ -7,7 +7,8 @@ import types
 import pytest
 
 from helpers import (bad_counts, brute_chromatic, brute_clique_number,
-                     load_fixture, random_graph, ref_cover_bnb, ref_dsatur_bnb)
+                     load_fixture, random_graph, ref_cover_bnb, ref_dsatur_bnb,
+                     ref_maximal_independent_sets)
 from mkg import (
     BudgetExhausted,
     Coloring,
@@ -27,6 +28,7 @@ from mkg.coloring import (
     _cover_bnb,
     _dsatur_bnb,
     _lower_bound_clique,
+    _maximal_independent_sets,
 )
 from mkg.extremal import ExtremalCertificate, ex_exact
 from mkg.matchings import has_matching_of_size
@@ -308,6 +310,89 @@ class TestSlowTwin:
                     outcomes.append(got[0])
         assert outcomes.count("exhausted") >= 50
         assert outcomes.count("done") >= 100
+
+
+class TestCoverTwinDetail:
+    # the cover engine decides each child in its parent's loop and
+    # carries the greedy clique down; its twin does neither, so the two
+    # must agree at every budget near a node count, and the sets they
+    # branch over must come in the same order
+
+    def test_mis_order_matches_twin(self):
+        # the pivot walk stops early; the sets and their order must not
+        # change, as the cover search branches in that order
+        graphs = list(TestSlowTwin()._instances())
+        graphs += [build_matching_kneser(generate(name), r)
+                   for name, r in (("complete(7)", 2), ("complete(8)", 2),
+                                   ("petersen", 2), ("complete(7)", 3))]
+        graphs += [build_kneser(8, 2), build_kneser(8, 3)]
+        for g in graphs:
+            got = _maximal_independent_sets(g.rows, g.n)
+            assert got == ref_maximal_independent_sets(g.rows, g.n), g.n
+
+    @staticmethod
+    def _start(kg):
+        masks, n = kg.rows, kg.n
+        lb = len(_lower_bound_clique(masks, n, *_clique_supports(kg)))
+        ub, cols0 = _first_leaf(masks, n)
+        alpha = max(s.bit_count()
+                    for s in _maximal_independent_sets(masks, n))
+        return masks, n, lb, ub, cols0, -(-n // alpha)
+
+    def _agree(self, masks, n, lb, ub, cols0, budget):
+        args = (masks, n, lb, ub, cols0, budget)
+        got = _outcome(_cover_bnb, *args)
+        assert got == _outcome(ref_cover_bnb, *args), (n, lb, ub, budget)
+        return got
+
+    def test_every_budget_on_k6(self):
+        # KG(K6, 2K2), 45 vertices: every budget from the root to node
+        # 300, and every budget around the end of the search (node 682
+        # from the first-leaf bound, 694 from n + 1)
+        masks, n, lb, ub, cols0, floor = self._start(
+            build_matching_kneser(generate("complete(6)"), 2))
+        assert n == 45 and lb < floor < ub
+        budgets = [*range(301), *range(670, 701)]
+        for start_ub, start_cols, total in ((ub, cols0, 682),
+                                            (n + 1, [], 694)):
+            kinds = [self._agree(masks, n, lb, start_ub, start_cols,
+                                 budget)[0] for budget in budgets]
+            # exhausted below the node count, done from it on
+            assert kinds == ["exhausted" if budget < total else "done"
+                             for budget in budgets]
+
+    def test_root_pruned_at_once(self):
+        # with ub0 <= ceil(n / alpha) the alpha bound prunes the root:
+        # one node, and the incumbent is returned as it came
+        for name in ("complete(6)", "complete(8)"):
+            masks, n, lb, ub, cols0, floor = self._start(
+                build_matching_kneser(generate(name), 2))
+            for budget in (0, 1, 2):
+                got = self._agree(masks, n, lb, floor, cols0, budget)
+                if budget == 0:
+                    assert got == ("exhausted", lb, floor)
+                else:
+                    assert got == ("done", floor, cols0)
+
+    def test_incumbent_at_the_lower_bound(self):
+        # chi(KG(K6, 2K2)) = 10: started with lb = ub0 = 10 the root is
+        # still expanded, and the search stops after the first child of
+        # each node, as the check against lb follows every child
+        masks, n, _, _, cols0, _ = self._start(
+            build_matching_kneser(generate("complete(6)"), 2))
+        kinds = [self._agree(masks, n, 10, 10, cols0, budget)[0]
+                 for budget in range(12)]
+        # the root and a chain of first children, 8 nodes
+        assert kinds == ["exhausted"] * 8 + ["done"] * 4
+
+    def test_big_budgets_on_k8(self):
+        masks, n, lb, ub, cols0, _ = self._start(
+            build_matching_kneser(generate("complete(8)"), 2))
+        assert n == 210
+        for start_ub, start_cols in ((ub, cols0), (n + 1, [])):
+            for budget in (10**3, 10**4):
+                got = self._agree(masks, n, lb, start_ub, start_cols, budget)
+                assert got[0] == "exhausted"
 
 
 class TestSearchFingerprint:

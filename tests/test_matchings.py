@@ -6,7 +6,7 @@ import pytest
 
 from helpers import (FIXTURES, bad_counts, brute_matching_number,
                      brute_matchings, load_fixture, random_graph, ref_augment,
-                     ref_r_matchings)
+                     ref_pairwise_intersect, ref_r_matchings)
 from mkg import (
     Graph,
     build_matching_kneser,
@@ -20,7 +20,7 @@ from mkg import (
     schonberger_check,
 )
 from mkg.edge_coloring import chromatic_index
-from mkg.matchings import _augment, _search
+from mkg.matchings import _augment, _search, pairwise_intersect
 
 SNARK_FIXTURES = ("petersen.g6", "blanusa_1.g6", "blanusa_2.g6",
                   "flower_j5.g6", "cubic_bridgeless_n14.g6")
@@ -292,6 +292,44 @@ class TestSchonberger:
         assert perfect_matchings_pairwise_intersect(generate("petersen"))
         assert not perfect_matchings_pairwise_intersect(generate("complete(4)"))
         assert perfect_matchings_pairwise_intersect(generate("cycle(5)"))  # vacuous
+
+    def test_pairwise_intersect_twin(self):
+        # the per-edge holder masks against the pair-by-pair test: random
+        # families, the same with one pair made disjoint (the last, so a
+        # pair-by-pair test meets it only at the end), and families of
+        # zero or one matching, empty or not
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(1500):
+            m = rng.randrange(1, 12)
+            size = rng.randrange(1, 5)
+            family = [tuple(sorted(rng.sample(range(m), min(size, m))))
+                      for _ in range(rng.randrange(0, 9))]
+            cases = [family, family[:1], [()], [(), ()], [(), (0,)]]
+            if len(family) >= 2:
+                # a common edge m makes every pair meet; then the last two
+                # trade it for edges m + 1 and m + 2, which the others
+                # hold too, so theirs is the only disjoint pair
+                shared = [mt + (m, m + 1, m + 2) for mt in family]
+                shared[-2:] = [(m + 1,), (m + 2,)]
+                assert not ref_pairwise_intersect(shared)
+                assert ref_pairwise_intersect(shared[:-1])
+                assert ref_pairwise_intersect(shared[:-2] + shared[-1:])
+                cases += [[mt + (m,) for mt in family], shared]
+            for case in cases:
+                want = ref_pairwise_intersect(case)
+                assert pairwise_intersect(case) is want, case
+                assert pairwise_intersect(iter(case)) is want, case
+                seen.add(want)
+        assert seen == {True, False}
+        assert pairwise_intersect([])
+
+    def test_pairwise_intersect_on_kneser_vertices(self):
+        # the verifier's use: the r-matchings of a host, edgeless KG or not
+        for name, r in (("petersen", 5), ("petersen", 4), ("complete(6)", 3),
+                        ("cycle(7)", 3), ("flower(5)", 10)):
+            ms = build_matching_kneser(generate(name), r).vertices
+            assert pairwise_intersect(ms) is ref_pairwise_intersect(ms)
 
     def test_class_two_cubic_implies_intersecting(self):
         for name in ("petersen.g6", "flower_j5.g6", "blanusa_1.g6",
