@@ -14,8 +14,7 @@ from .matchings import (enumerate_matchings, enumerate_perfect_matchings,
                         perfect_matchings_pairwise_intersect,
                         schonberger_check)
 from .edge_coloring import EdgeColoringResult, chromatic_index, is_snark
-from .kneser import (EquivalenceResult, KneserGraph, build_kneser,
-                     build_matching_kneser, structurally_equivalent, to_dot)
+from .kneser import KneserGraph, build_kneser, build_matching_kneser, to_dot
 from .coloring import (BudgetExhausted, Coloring, DEFAULT_BUDGET,
                        InvalidCertificateError, chromatic_number,
                        greedy_ex_coloring, validate_coloring)
@@ -36,8 +35,7 @@ __all__ = [
     "has_matching_of_size", "matching_number", "schonberger_check",
     "perfect_matchings_pairwise_intersect",
     "EdgeColoringResult", "chromatic_index", "is_snark",
-    "KneserGraph", "EquivalenceResult", "build_matching_kneser",
-    "build_kneser", "structurally_equivalent", "to_dot",
+    "KneserGraph", "build_matching_kneser", "build_kneser", "to_dot",
     "Coloring", "BudgetExhausted", "InvalidCertificateError",
     "DEFAULT_BUDGET", "chromatic_number", "greedy_ex_coloring",
     "validate_coloring",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_left
 
 
 class Graph6Error(ValueError):
@@ -92,17 +91,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
-
-    def edge_index(self, u: int, v: int) -> int:
-        """Canonical index of edge {u,v}; KeyError if absent."""
-        e = (u, v) if u < v else (v, u)
-        i = bisect_left(self.edges, e)
-        if i == self.m or self.edges[i] != e:
-            raise KeyError(e)
-        return i
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v >= 0 and bool(self.rows[u] >> v & 1)
 
     def __eq__(self, other):
         return (isinstance(other, Graph)

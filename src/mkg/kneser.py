@@ -4,7 +4,9 @@ Vertices of KG(G, rK2) are the r-matchings of G in lexicographic
 enumeration order; two are adjacent when their matchings are edge-
 disjoint (they may well share vertices).  KG(n, r) is built by an
 independent route, directly over r-subsets, so the stated isomorphism
-KG(nK2, rK2) = KG(n, r) can be cross-checked rather than assumed.
+KG(nK2, rK2) = KG(n, r) can be cross-checked rather than assumed.  Both
+routes list their vertices in the same order, so the check is labelled
+equality: equal vertices and equal rows, with no vertex map to search.
 """
 
 from __future__ import annotations
@@ -97,78 +99,6 @@ def build_kneser(n: int, r: int) -> KneserGraph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return _from_rows(base, r, subs, rows)
-
-
-@dataclass(frozen=True)
-class EquivalenceResult:
-    """Outcome of structurally_equivalent.
-
-    method is "isomorphism" when an exact backtracking check ran (12
-    vertices or fewer), "invariants" when only vertex count, edge count
-    and degree sequence were compared.  Truthiness follows equivalent.
-    """
-
-    equivalent: bool
-    method: str
-
-    def __bool__(self) -> bool:
-        return self.equivalent
-
-
-def _isomorphic(a, b) -> bool:
-    """Backtracking vertex bijection; intended for <= 12 vertices."""
-    if a.n != b.n or a.m != b.m:
-        return False
-    ra, rb = a.rows, b.rows
-    da = [row.bit_count() for row in ra]
-    db = [row.bit_count() for row in rb]
-    if sorted(da) != sorted(db):
-        return False
-    n = a.n
-    # map vertices of a in descending degree order, candidates must match
-    # degree and adjacency with everything already mapped
-    order = sorted(range(n), key=lambda v: (-da[v], v))
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        for w in range(n):
-            if used[w] or db[w] != da[v]:
-                continue
-            ok = True
-            for j in range(k):
-                u = order[j]
-                if (ra[v] >> u & 1) != (rb[w] >> image[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if extend(k + 1):
-                    return True
-                used[w] = False
-                image[v] = -1
-        return False
-
-    return extend(0)
-
-
-def structurally_equivalent(a, b) -> EquivalenceResult:
-    """Compare two derived graphs (KneserGraph or Graph).
-
-    Up to 12 vertices this is an exact isomorphism test; beyond that only
-    (vertex count, edge count, sorted degree sequence) are compared and
-    the result is flagged as invariant-level.
-    """
-    if a.n <= 12 and b.n <= 12:
-        return EquivalenceResult(_isomorphic(a, b), "isomorphism")
-    same = (a.n == b.n and a.m == b.m
-            and sorted(row.bit_count() for row in a.rows)
-            == sorted(row.bit_count() for row in b.rows))
-    return EquivalenceResult(same, "invariants")
 
 
 def to_dot(kg: KneserGraph) -> str:

@@ -87,15 +87,17 @@ def verify_conjecture(g: Graph, r: int,
     when one was found, are re-checked by independent code, and chi (or,
     when undecided, its lower bound) is checked against the theorem
     chi <= rhs; a failure raises SelfCheckError.  r is a count >= 1 and
-    budget one >= 0 (graph_core.check_count), checked before any search.
+    budget one >= 0 (graph_core.check_count), and g has a graph6 form
+    (n <= 62), all checked before any search.
     """
     check_count(r, 1, "r")
     check_count(budget, 0, "budget")
+    g6 = write_graph6(g)
     kg = build_matching_kneser(g, r)
     cert = ex_exact(g, r)
     if not validate_certificate(g, cert):
         raise SelfCheckError(
-            f"ex certificate of {write_graph6(g)} at r={r} failed its re-check")
+            f"ex certificate of {g6} at r={r} failed its re-check")
     rhs = g.m - cert.value
     snark, _ = is_snark(g)
     certs = {"extremal_edges": sorted(cert.edges)}
@@ -108,19 +110,18 @@ def verify_conjecture(g: Graph, r: int,
     else:
         if col.k != chi or not validate_coloring(kg, col):
             raise SelfCheckError(
-                f"{chi}-coloring of KG({write_graph6(g)}, {r}K2) "
-                "failed its re-check")
+                f"{chi}-coloring of KG({g6}, {r}K2) failed its re-check")
         certs["coloring"] = list(col.colors)
         lower = chi
     if lower > rhs:
         raise SelfCheckError(
-            f"chi of KG({write_graph6(g)}, {r}K2) is at least {lower}, "
+            f"chi of KG({g6}, {r}K2) is at least {lower}, "
             f"above the theorem's bound rhs = {rhs}")
     if kg.n > 0 and kg.m == 0:
         # re-derive edgelessness straight from the matchings, not kg.rows
         certs["pairwise_intersect"] = pairwise_intersect(kg.vertices)
         if not certs["pairwise_intersect"]:
-            raise SelfCheckError(f"edgeless KG({write_graph6(g)}, {r}K2) "
+            raise SelfCheckError(f"edgeless KG({g6}, {r}K2) "
                                  "failed its pairwise re-check")
     if chi == -1:
         verdict = VERDICT_UNDECIDED
@@ -133,7 +134,7 @@ def verify_conjecture(g: Graph, r: int,
     else:
         verdict = VERDICT_HOLDS
     return ConjectureReport(
-        graph6=write_graph6(g), n=g.n, m=g.m, r=r,
+        graph6=g6, n=g.n, m=g.m, r=r,
         num_r_matchings=kg.n, kneser_vertices=kg.n, kneser_edges=kg.m,
         chromatic_number=chi, ex_value=cert.value, rhs=rhs,
         verdict=verdict, is_snark=snark, certificates=certs)

@@ -28,7 +28,6 @@ from mkg import (
     parse_graph6,
     perfect_matchings_pairwise_intersect,
     schonberger_check,
-    structurally_equivalent,
     validate_certificate,
     validate_coloring,
     verify_conjecture,
@@ -136,18 +135,19 @@ def test_criterion_4_equality_spot_checks(capsys):
 
 def test_criterion_5_kneser_isomorphism(capsys):
     with criterion(capsys, 5) as note:
-        exact = 0
+        pairs = 0
         for n in range(1, 9):
             for r in range(1, 5):
                 a = build_matching_kneser(generate(f"disjoint_matching({n})"),
                                           r)
                 b = build_kneser(n, r)
-                res = structurally_equivalent(a, b)
-                assert res.equivalent, (n, r)
-                if a.n <= 12 and b.n <= 12:
-                    assert res.method == "isomorphism", (n, r)
-                    exact += 1
-        note["msg"] = f"all n <= 8, r <= 4 equivalent ({exact} exact iso)"
+                # both routes list the r-subsets in the same order, so the
+                # isomorphism is the identity: equal labels, equal rows
+                assert a.vertices == b.vertices, (n, r)
+                assert a.rows == b.rows, (n, r)
+                pairs += 1
+        note["msg"] = (f"all n <= 8, r <= 4: {pairs} pairs with equal "
+                       "vertices and rows")
 
 
 def test_criterion_6_oracle_suites(capsys):

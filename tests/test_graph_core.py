@@ -30,14 +30,6 @@ class TestGraphClass:
         assert g.n == 4 and g.m == 3
         assert g.edges == ((0, 1), (0, 2), (2, 3))  # canonical, sorted
         assert g.degree(0) == 2 and g.degree(3) == 1
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
-        assert not g.has_edge(1, 3)
-        assert not any(g.has_edge(u, v) for u, v in ((0, 4), (4, 0), (0, -1),
-                                                      (-1, 0)))
-        assert g.edge_index(2, 3) == 2 and g.edge_index(1, 0) == 0
-        for u, v in ((1, 3), (3, 3), (0, 0)):
-            with pytest.raises(KeyError):
-                g.edge_index(u, v)
         assert g.rows == (0b0110, 0b0001, 0b1001, 0b0100)
 
     def test_rejects_bad_edges(self):
@@ -223,7 +215,7 @@ class TestBridges:
 
     def test_two_triangles_joined(self):
         g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-        assert bridges(g) == [g.edge_index(2, 3)]
+        assert bridges(g) == [g.edges.index((2, 3))]
 
     def test_sorted_by_edge_index(self):
         rng = random.Random(23)

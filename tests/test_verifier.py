@@ -117,6 +117,17 @@ class TestVerifyConjecture:
             verify_conjecture(generate("complete(6)"), 2, budget=budget)
         assert builds == []
 
+    def test_rejects_host_past_graph6_before_any_search(self, monkeypatch):
+        # a 64-vertex host used to search for seconds and only then fail
+        # in write_graph6 when the report was built
+        builds = []
+        real = mkg.verifier.build_matching_kneser
+        monkeypatch.setattr(mkg.verifier, "build_matching_kneser",
+                            lambda g, r: builds.append(r) or real(g, r))
+        with pytest.raises(ValueError, match="requires n <= 62"):
+            verify_conjecture(generate("cycle(64)"), 2)
+        assert builds == []
+
     def test_undecided_on_tiny_budget(self):
         rep = verify_conjecture(generate("complete(7)"), 2, budget=3)
         assert rep.verdict == VERDICT_UNDECIDED
