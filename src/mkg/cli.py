@@ -39,12 +39,20 @@ def _open_input(path: str):
     return open_graph6(path)
 
 
-def _first_graph(path: str):
+def _only_graph(path: str):
+    """The one graph of a single-graph command's input; a second
+    non-blank line is an input error that points at mkg scan."""
+    g = None
     with _open_input(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                return parse_graph6(line)
-    raise Graph6Error("no graph6 line found in input", 0)
+                if g is not None:
+                    raise Graph6Error(f"line {lineno} holds a second graph;"
+                                      " only mkg scan reads more than one", 0)
+                g = parse_graph6(line)
+    if g is None:
+        raise Graph6Error("no graph6 line found in input", 0)
+    return g
 
 
 def _report_text(rep: ConjectureReport) -> str:
@@ -89,7 +97,7 @@ def _announce_counterexamples(reports) -> None:
 
 
 def _cmd_check(args) -> int:
-    g = _first_graph(args.graph)
+    g = _only_graph(args.graph)
     rep = report_for(g, args.r, budget=args.budget)
     if args.dot:
         # a skipped host (r = 0) gets the null derived graph its report
@@ -123,7 +131,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_ex(args) -> int:
-    g = _first_graph(args.graph)
+    g = _only_graph(args.graph)
     cert = ex_exact(g, args.r)
     kept = sorted(cert.edges)
     print(f"n={g.n} m={g.m} r={cert.r}")
@@ -134,7 +142,7 @@ def _cmd_ex(args) -> int:
 
 
 def _cmd_chi_index(args) -> int:
-    g = _first_graph(args.graph)
+    g = _only_graph(args.graph)
     res = chromatic_index(g)
     print(f"chromatic_index={res.chromatic_index}")
     print(f"class={res.vizing_class}")
@@ -142,7 +150,7 @@ def _cmd_chi_index(args) -> int:
 
 
 def _cmd_kneser(args) -> int:
-    g = _first_graph(args.graph)
+    g = _only_graph(args.graph)
     kg = build_matching_kneser(g, args.r)
     if args.dot:
         sys.stdout.write(to_dot(kg))

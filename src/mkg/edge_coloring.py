@@ -7,11 +7,14 @@ exhaustive failure of the Delta-edge-coloring search.  is_snark goes
 through the perfect matchings instead: a cubic graph is 3-edge-
 colorable exactly when some perfect matching leaves a 2-factor whose
 cycles are all even, so it is a snark when no perfect matching does.
+The verifier hands it the perfect matchings its Kneser build listed, so
+at n = 2r they are listed once; called alone it lists them itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .graph_core import Graph, allow_recursion, bridges, is_connected, is_cubic
 from .matchings import _search
@@ -119,14 +122,16 @@ def _leaves_even_two_factor(g: Graph, pm: tuple[int, ...]) -> bool:
     return True
 
 
-def is_snark(g: Graph):
+def is_snark(g: Graph, perfect_matchings=None):
     """(bool, reason) snark test: connected, bridgeless, cubic, class two.
 
     Clauses are evaluated in this fixed order so the reason string is
     deterministic.  No girth or cyclic-connectivity requirements.  reason
     is None on True.  The last clause goes through the perfect matchings
-    in enumeration order and stops at the first that leaves an even
-    2-factor; a snark is proved class two when none does.
+    in order and stops at the first that leaves an even 2-factor; a
+    snark is proved class two when none does.  It scans
+    perfect_matchings when given (all of g's, in any order), and
+    otherwise lists them lazily with _search, stopping at the first hit.
     """
     if not is_connected(g):
         return False, "not connected"
@@ -135,7 +140,8 @@ def is_snark(g: Graph):
     if not is_cubic(g):
         return False, "not cubic"
     # cubic: m = 3n/2 is never overfull, so chi' is 3 or 4 (0 when n = 0)
-    if _search(g, g.n // 2, None,
-               lambda pm: _leaves_even_two_factor(g, pm)):
+    even = partial(_leaves_even_two_factor, g)
+    if (any(map(even, perfect_matchings)) if perfect_matchings is not None
+            else _search(g, g.n // 2, None, even)):
         return False, f"chromatic index {3 if g.m else 0}"
     return True, None

@@ -26,16 +26,18 @@ Berge's theorem says it is enough) decides each keep.
 At n = 2r a seed proof runs before the branch and bound.  Every
 r-matching is then perfect, and the star seed keeps m - delta edges; it
 is optimal exactly when no set of at most delta - 1 edges meets every
-perfect matching.  A bounded hitting search decides that: any such set
-meets a perfect matching M of what is left, so it branches on the edges
-of M and repairs M with one blossom search per deletion.  When no set
-exists the seed is returned, which the branch and bound would return
-too, since it only replaces the incumbent on a strict gain.  On a snark
-this is Schonberger's theorem at work: every two edges of a bridgeless
-cubic graph are missed by some perfect matching.
+perfect matching.  A bounded hitting search over a listing of the
+perfect matchings (the verifier passes its Kneser build's) decides
+that: any such set meets the first matching not yet met, so it
+branches on that matching's edges.  When no set exists the seed is
+returned, which the branch and bound would return too, since it only
+replaces the incumbent on a strict gain.  On a snark this is
+Schonberger's theorem at work: every two edges of a bridgeless cubic
+graph are missed by some perfect matching.
 
-validate_certificate re-checks the result with the matchings
-backtracker instead, a code path the search does not use.
+validate_certificate re-checks that the kept set holds no r-matching
+with the matchings backtracker instead, a code path the branch and
+bound does not use.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import Graph, allow_recursion, bit_indices, check_count
-from .matchings import _augment, has_matching_of_size
+from .matchings import _augment, enumerate_matchings, has_matching_of_size
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ def star_removal_bound(g: Graph, r: int) -> ExtremalCertificate | None:
     return ExtremalCertificate(keep, len(keep), r)
 
 
-def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
+def ex_exact(g: Graph, r: int, *, matchings=None) -> ExtremalCertificate:
     """Exact ex(g, rK2) with a witnessing certificate.
 
     r is a count >= 1 (graph_core.check_count).  Seeded with
@@ -82,7 +84,8 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
     first tries to prove that from perfect matchings alone, and when it
     does the seed is returned without a branch and bound; this is exact,
     since the branch and bound would meet no strictly better leaf and
-    return the seed too.
+    return the seed too.  matchings, if given, are g's r-matchings,
+    which the seed proof then reads instead of listing them itself.
 
     Keeping edge (a, b) with both ends free in the carried matching
     grows it with no search; with one end free, an augmenting path must
@@ -116,7 +119,7 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
     deg = [g.degree(v) for v in range(n)]  # degrees in P = K + undecided
     seed = star_removal_bound(g, r)
     if seed is not None:
-        if _seed_is_optimal(g, r, seed.value, deg):
+        if _seed_is_optimal(g, r, seed.value, deg, matchings):
             return seed
         best_value = seed.value
         best_mask = sum(1 << e for e in seed.edges)
@@ -192,8 +195,8 @@ def ex_exact(g: Graph, r: int) -> ExtremalCertificate:
     return ExtremalCertificate(frozenset(bit_indices(best_mask)), best_value, r)
 
 
-def _seed_is_optimal(g: Graph, r: int, seed_value: int,
-                     deg: list[int]) -> bool:
+def _seed_is_optimal(g: Graph, r: int, seed_value: int, deg: list[int],
+                     matchings) -> bool:
     """At n = 2r, is the star seed (m - delta edges) optimal?
 
     Every r-matching is then a perfect matching, so a kept set F avoids
@@ -202,58 +205,42 @@ def _seed_is_optimal(g: Graph, r: int, seed_value: int,
     some D of at most d = delta - 1 edges meets every perfect matching.
 
     The root cut of the branch and bound comes first: when the degree
-    cap is at most the seed's value, nothing beats it.  Then one perfect
-    matching M is built, one blossom search from each free vertex; with
-    none, D = {} already works (ex = m).  Otherwise hit(d) searches for
-    D: any such D meets M, so it branches on which edge of M is the
-    first one in D.  Deleting (a, b) frees a and b, and one search from
-    a repairs M or proves that G - D has no perfect matching (a
-    matching missing only a and b is maximum unless a path joins them).
-    An edge of M tried and found not to work is kept in the later
-    branches of that node and below, so no D is visited twice.
+    cap is at most the seed's value, nothing beats it.  Then _hits
+    searches for D over matchings, listed here if the caller passed
+    none; with none at all, D = {} already works (ex = m).
     """
     d = min(deg) - 1
     if d < 0 or _degree_cap(deg, r - 1) <= seed_value:
         return True
-    n = g.n
-    rows = list(g.rows)  # adjacency bitmasks of G - D
-    match = [-1] * n  # a perfect matching of G - D
-    for v in range(n):
-        if match[v] == -1 and not _augment(n, rows, match, v):
-            return False
-    kept = [0] * n  # edges of G - D that no branch below may delete
-
-    def hit(d: int) -> bool:
-        """Do at most d more deletions, none of a kept edge, leave G - D
-        with no perfect matching?"""
-        if d == 0:
-            return False
-        marked = []
-        found = False
-        for a in range(n):
-            b = match[a]
-            if b < a or kept[a] >> b & 1:
-                continue
-            saved = match[:]
-            rows[a] ^= 1 << b
-            rows[b] ^= 1 << a
-            match[a] = match[b] = -1
-            found = not _augment(n, rows, match, a) or hit(d - 1)
-            rows[a] ^= 1 << b
-            rows[b] ^= 1 << a
-            match[:] = saved
-            if found:
-                break
-            kept[a] |= 1 << b
-            kept[b] |= 1 << a
-            marked.append((a, b))
-        for a, b in marked:
-            kept[a] ^= 1 << b
-            kept[b] ^= 1 << a
-        return found
-
+    if matchings is None:
+        matchings = enumerate_matchings(g, r)
+    holders = [0] * g.m  # holders[e]: the listed matchings holding e
+    for j, mt in enumerate(matchings):
+        for e in mt:
+            holders[e] |= 1 << j
     allow_recursion(d)
-    return not hit(d)
+    return not _hits(matchings, holders, (1 << len(matchings)) - 1, d, 0)
+
+
+def _hits(matchings, holders: list[int], alive: int, d: int,
+          kept: int) -> bool:
+    """Do at most d more deletions, none of an edge in the bitmask
+    kept, meet every matching in the bitmask alive?  holders[e] is the
+    bitmask of the matchings holding edge e.  Any such D meets the
+    first alive matching, so the search branches on its edges; an edge
+    tried and failed is kept in the later branches and below them, so
+    no D is visited twice."""
+    if not alive:
+        return True
+    if not d:
+        return False
+    for e in matchings[(alive & -alive).bit_length() - 1]:
+        if kept >> e & 1:
+            continue
+        if _hits(matchings, holders, alive & ~holders[e], d - 1, kept):
+            return True
+        kept |= 1 << e
+    return False
 
 
 def _degree_cap(deg: list[int], k: int) -> int:

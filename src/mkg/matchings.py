@@ -10,12 +10,12 @@ the lowest vertex not yet decided: covered by an edge to a higher
 vertex, or left uncovered while the slack n - 2r allows.  Edges are
 sorted by lower endpoint, so a matching's index tuple lists its edges
 in the order this search picks them, and the search meets the
-matchings in lexicographic order.  It hands each one to a visit
-callback and stops when visit returns a true value, so a caller that
-wants the first matching with some property (is_snark's even 2-factor)
-never enumerates the rest.  The blossom search _augment grows a
-maximum matching one augmenting path at a time for matching_number and
-for ex_exact.
+matchings in lexicographic order; at r = n/2 it looks one step ahead.
+It hands each one to a visit callback and stops when visit returns a
+true value, so a caller that wants the first matching with some
+property (is_snark's even 2-factor) never enumerates the rest.  The
+blossom search _augment grows a maximum matching one augmenting path
+at a time for matching_number and for ex_exact.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ def _search(g: Graph, r: int, allowed, visit) -> bool:
     higher vertex w still free, in edge-index order, and then leaves v
     uncovered.  An r-matching leaves n - 2r vertices uncovered, so a
     branch may give up only that many (the slack); at r = n/2 a vertex
-    with no free higher neighbour ends its branch at once.
+    with no free higher neighbour ends its branch at once, and so does
+    covering v with (v, w) when it leaves a neighbour of v or w with no
+    free allowed neighbour (a look-ahead that cuts no matching; its
+    adjacency is built only at slack 0).
 
     The order is lexicographic: every vertex below v is decided, so the
     next edge of any matching below this node is the one at its lowest
@@ -50,24 +53,39 @@ def _search(g: Graph, r: int, allowed, visit) -> bool:
         return False
     if r == 0:
         return bool(visit(()))
-    # up[v]: (edge index, bit of w) for the allowed edges (v, w), w > v
+    # up[v]: (edge index, bit of w, neighbours of v and w at slack 0)
+    # for the allowed edges (v, w), w > v
+    edges = [(e, v, w) for e, (v, w) in enumerate(g.edges)
+             if allowed is None or allowed >> e & 1]
+    nbr = [0] * g.n  # the allowed adjacency, read only at slack 0
+    if not slack:
+        for e, v, w in edges:
+            nbr[v] |= 1 << w
+            nbr[w] |= 1 << v
     up = [[] for _ in range(g.n)]
-    for e, (v, w) in enumerate(g.edges):
-        if allowed is None or allowed >> e & 1:
-            up[v].append((e, 1 << w))
+    for e, v, w in edges:
+        up[v].append((e, 1 << w, nbr[v] | nbr[w]))
     cur: list[int] = []
 
     def rec(decided: int, need: int, slack: int) -> bool:
         while True:
             low = ~decided & (decided + 1)
-            for e, wbit in up[low.bit_length() - 1]:
+            for e, wbit, near in up[low.bit_length() - 1]:
                 if decided & wbit:
                     continue
+                taken = decided | low | wbit
+                if near:  # slack 0: look one step ahead
+                    free = ~taken
+                    near &= free
+                    while near and nbr[(near & -near).bit_length() - 1] & free:
+                        near &= near - 1  # that one still has a partner
+                    if near:
+                        continue
                 cur.append(e)
                 if need == 1:
                     if visit(tuple(cur)):
                         return True
-                elif rec(decided | low | wbit, need - 1, slack):
+                elif rec(taken, need - 1, slack):
                     return True
                 cur.pop()
             if not slack:

@@ -94,12 +94,15 @@ def verify_conjecture(g: Graph, r: int,
     check_count(budget, 0, "budget")
     g6 = write_graph6(g)
     kg = build_matching_kneser(g, r)
-    cert = ex_exact(g, r)
+    # at n = 2r the r-matchings are the perfect matchings that the ex
+    # seed proof and the snark test read
+    listed = kg.vertices if g.n == 2 * r else None
+    cert = ex_exact(g, r, matchings=listed)
     if not validate_certificate(g, cert):
         raise SelfCheckError(
             f"ex certificate of {g6} at r={r} failed its re-check")
     rhs = g.m - cert.value
-    snark, _ = is_snark(g)
+    snark, _ = is_snark(g, listed)
     certs = {"extremal_edges": sorted(cert.edges)}
     try:
         chi, col = chromatic_number(kg, budget=budget)

@@ -211,6 +211,40 @@ class TestSmallCommands:
         assert out == to_dot(build_matching_kneser(generate("cycle(5)"), 2))
 
 
+class TestOneGraph:
+    """check, ex, chi-index and kneser answer for one graph; a second
+    one in their input is refused, not dropped."""
+
+    ARGS = {"check": ["-r", "2"], "ex": ["-r", "2"], "chi-index": [],
+            "kneser": ["-r", "2"]}
+    MESSAGE = ("mkg: line 3 holds a second graph; only mkg scan reads more "
+               "than one (byte offset 0)\n")
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_file(self, g6file, capsys, command):
+        path = g6file(generate("cycle(5)"), generate("petersen"),
+                      raw=[""])
+        rc = main([command, "-g", path, *self.ARGS[command]])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", self.MESSAGE)
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_stdin(self, capsys, monkeypatch, command):
+        text = "\n".join(["", write_graph6(generate("cycle(5)")),
+                          write_graph6(generate("petersen")), ""])
+        _stdin_bytes(monkeypatch, text.encode())
+        rc = main([command, "-g", "-", *self.ARGS[command]])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", self.MESSAGE)
+
+    def test_blank_lines_around_one_graph(self, g6file, capsys):
+        path = g6file(generate("cycle(5)"), raw=["", "  "])
+        with open(path, "a") as fh:
+            fh.write("\n \n")
+        assert main(["ex", "-g", path, "-r", "2"]) == 0
+        assert "ex_value=2" in capsys.readouterr().out
+
+
 class TestUsage:
     def test_no_command(self):
         with pytest.raises(SystemExit) as ei:

@@ -247,6 +247,19 @@ class TestEvenTwoFactorScan:
         assert reasons == {None, "chromatic index 3", "chromatic index 0",
                            "not connected", "not cubic", "has a bridge"}
 
+    def test_reads_a_passed_listing(self, monkeypatch):
+        # the verifier hands is_snark the Kneser build's listing of the
+        # perfect matchings; with it no search runs
+        hosts = [g for path in sorted(FIXTURES.glob("*.g6"))
+                 for g in load_fixture(path.name) if g.n % 2 == 0]
+        hosts += [generate(f"flower({k})") for k in range(3, 10)]
+        for g in hosts:
+            want = is_snark(g)
+            pms = enumerate_perfect_matchings(g)
+            with monkeypatch.context() as patched:
+                patched.setattr(mkg.edge_coloring, "_search", None)
+                assert is_snark(g, pms) == want, g
+
     def test_lazy_on_a_large_prism(self, monkeypatch):
         # the 80-vertex prism GP(40, 1) has millions of perfect
         # matchings; an even 2-factor turns up within the first few

@@ -21,6 +21,7 @@ from helpers import (
 from mkg import (
     ExtremalCertificate,
     Graph,
+    enumerate_matchings,
     ex_exact,
     generate,
     matching_number,
@@ -316,24 +317,38 @@ class TestSeedProof:
             want = max(comb(2 * r - 1, 2), comb(r - 1, 2) + (r - 1) * (r + 1))
             assert cert.value == want, r
 
-    def test_blossom_searches_on_flower_j9(self, monkeypatch):
+    def test_hitting_search_nodes_on_flower_j9(self, monkeypatch):
         # J9 at r = 18: no two edges meet every perfect matching, and the
-        # hitting search proves it in at most n + r + r^2 blossom
-        # searches; the branch and bound alone makes 52,477
-        calls = 0
-        augment = mkg.extremal._augment
+        # hitting search proves it in at most r + r^2 nodes, one per
+        # deletion tried under a node of depth below d = 2
+        nodes = 0
+        hits = mkg.extremal._hits
 
         def counted(*args):
-            nonlocal calls
-            calls += 1
-            return augment(*args)
+            nonlocal nodes
+            nodes += 1
+            return hits(*args)
 
-        monkeypatch.setattr(mkg.extremal, "_augment", counted)
+        monkeypatch.setattr(mkg.extremal, "_hits", counted)
         g = generate("flower(9)")
         r = g.n // 2
         cert = ex_exact(g, r)
         assert cert == star_removal_bound(g, r)
-        assert calls <= g.n + r + r * r
+        assert 0 < nodes <= r + r * r
+
+    def test_reads_a_passed_listing(self, monkeypatch):
+        # the verifier hands ex_exact the Kneser build's listing; with
+        # it the seed proof lists nothing itself
+        hosts = [g for path in sorted(helpers.FIXTURES.glob("*.g6"))
+                 for g in load_fixture(path.name) if g.n % 2 == 0 and g.n]
+        hosts += [generate(f"flower({k})") for k in range(3, 10)]
+        for g in hosts:
+            r = g.n // 2
+            listed = enumerate_matchings(g, r)
+            with monkeypatch.context() as patched:
+                patched.setattr(mkg.extremal, "enumerate_matchings", None)
+                cert = ex_exact(g, r, matchings=listed)
+            assert cert == _branch_and_bound_only(monkeypatch, g, r), g
 
 
 class TestDegreeCap:
