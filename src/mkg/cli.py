@@ -39,19 +39,23 @@ def _open_input(path: str):
     return open_graph6(path)
 
 
+class InputError(Exception):
+    """A single-graph command's input holds no graph, or more than one."""
+
+
 def _only_graph(path: str):
-    """The one graph of a single-graph command's input; a second
-    non-blank line is an input error that points at mkg scan."""
+    """The one graph of a single-graph command's input; none, or a second
+    non-blank line (pointed at mkg scan), is an InputError."""
     g = None
     with _open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 if g is not None:
-                    raise Graph6Error(f"line {lineno} holds a second graph;"
-                                      " only mkg scan reads more than one", 0)
+                    raise InputError(f"line {lineno} holds a second graph;"
+                                     " only mkg scan reads more than one")
                 g = parse_graph6(line)
     if g is None:
-        raise Graph6Error("no graph6 line found in input", 0)
+        raise InputError("no graph6 line found in input")
     return g
 
 
@@ -184,40 +188,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Matching Kneser graph conjecture verifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="verify one graph")
-    p_check.add_argument("-g", "--graph", required=True,
-                         help="graph6 file, or - for stdin")
-    p_check.add_argument("-r", "--r", type=_r_policy, required=True,
-                         help="matching size, or 'half-order' for r = n/2")
-    p_check.add_argument("--json", action="store_true",
-                         help="emit the report as one JSON line")
+    # options shared by subcommands, each defined once
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("-g", "--graph", required=True,
+                       help="graph6 file, or - for stdin")
+    verify = argparse.ArgumentParser(add_help=False, parents=[graph])
+    verify.add_argument("-r", "--r", type=_r_policy, required=True,
+                        help="matching size, or 'half-order' for r = n/2")
+    verify.add_argument("--json", action="store_true",
+                        help="emit each report as one JSON line")
+    verify.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                        help="coloring search node budget")
+
+    p_check = sub.add_parser("check", parents=[verify],
+                             help="verify one graph")
     p_check.add_argument("--dot", metavar="OUT",
                          help="also write the Kneser graph as DOT to OUT")
     p_check.set_defaults(fn=_cmd_check)
 
-    p_scan = sub.add_parser("scan", help="verify every graph in a catalog")
-    p_scan.add_argument("-g", "--graph", required=True,
-                        help="graph6 file, or - for stdin")
-    p_scan.add_argument("-r", "--r", type=_r_policy, required=True,
-                        help="matching size, or 'half-order'")
-    p_scan.add_argument("--json", action="store_true",
-                        help="emit JSON-lines reports")
+    p_scan = sub.add_parser("scan", parents=[verify],
+                            help="verify every graph in a catalog")
     p_scan.set_defaults(fn=_cmd_scan)
-    for p in (p_check, p_scan):
-        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                       help="coloring search node budget")
 
-    p_ex = sub.add_parser("ex", help="exact ex(G, rK2) with certificate")
-    p_ex.add_argument("-g", "--graph", required=True)
+    p_ex = sub.add_parser("ex", parents=[graph],
+                          help="exact ex(G, rK2) with certificate")
     p_ex.add_argument("-r", type=_positive_int, required=True)
     p_ex.set_defaults(fn=_cmd_ex)
 
-    p_ci = sub.add_parser("chi-index", help="exact chromatic index")
-    p_ci.add_argument("-g", "--graph", required=True)
+    p_ci = sub.add_parser("chi-index", parents=[graph],
+                          help="exact chromatic index")
     p_ci.set_defaults(fn=_cmd_chi_index)
 
-    p_kg = sub.add_parser("kneser", help="build KG(G, rK2)")
-    p_kg.add_argument("-g", "--graph", required=True)
+    p_kg = sub.add_parser("kneser", parents=[graph], help="build KG(G, rK2)")
     p_kg.add_argument("-r", type=_positive_int, required=True)
     p_kg.add_argument("--dot", action="store_true",
                       help="print DOT instead of a summary")
@@ -229,7 +231,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (Graph6Error, OSError, SelfCheckError) as exc:
+    except (Graph6Error, InputError, OSError, SelfCheckError) as exc:
         print(f"mkg: {exc}", file=sys.stderr)
         return 2
 

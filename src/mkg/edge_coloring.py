@@ -33,29 +33,21 @@ def _backtrack_edge_coloring(g: Graph, k: int):
     k must be at least the maximum degree (chromatic_index passes Delta
     or Delta + 1).  Edges are processed in index order, colors tried in
     ascending order.
-    Symmetry break: the star of vertex 0 is pre-colored 0..deg(0)-1 in
-    edge-index order, which is harmless up to color permutation.  On top
-    of that a fresh color may only be the lowest unused one.  The star
-    holds the lowest edge indices, so as long as first-fit over the edges
-    in index order needs at most k colors, it is the first descent.
+    Symmetry break, the only one: a fresh color may only be the lowest
+    unused one, which is harmless up to color permutation.  The star of
+    vertex 0 holds the lowest edge indices, so this alone colors it
+    0..deg(0)-1 with no alternative, and as long as first-fit over the
+    edges in index order needs at most k colors, it is the first descent.
     """
     m = g.m
     edges = g.edges
     color = [-1] * m
     used_at = [0] * g.n  # bitmask of colors present at each vertex
-    star0 = [i for i, (u, v) in enumerate(edges) if 0 in (u, v)]
-    for c, i in enumerate(star0):
-        u, v = edges[i]
-        color[i] = c
-        used_at[u] |= 1 << c
-        used_at[v] |= 1 << c
-    order = [i for i in range(m) if color[i] == -1]
 
-    def rec(pos: int, maxc: int) -> bool:
-        """Color order[pos:]; maxc is the highest color in use."""
-        if pos == len(order):
+    def rec(i: int, maxc: int) -> bool:
+        """Color edges i..m-1; maxc is the highest color in use."""
+        if i == m:
             return True
-        i = order[pos]
         u, v = edges[i]
         blocked = used_at[u] | used_at[v]
         for c in range(min(k - 1, maxc + 1) + 1):
@@ -64,14 +56,14 @@ def _backtrack_edge_coloring(g: Graph, k: int):
             color[i] = c
             used_at[u] |= 1 << c
             used_at[v] |= 1 << c
-            if rec(pos + 1, max(maxc, c)):
+            if rec(i + 1, max(maxc, c)):
                 return True
             used_at[u] &= ~(1 << c)
             used_at[v] &= ~(1 << c)
         return False
 
-    allow_recursion(len(order))
-    return color if rec(0, len(star0) - 1) else None
+    allow_recursion(m)
+    return color if rec(0, -1) else None
 
 
 def chromatic_index(g: Graph) -> EdgeColoringResult:

@@ -45,7 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import Graph, allow_recursion, bit_indices, check_count
-from .matchings import _augment, enumerate_matchings, has_matching_of_size
+from .matchings import (_augment, enumerate_matchings, has_matching_of_size,
+                        holder_index)
 
 
 @dataclass(frozen=True)
@@ -214,12 +215,9 @@ def _seed_is_optimal(g: Graph, r: int, seed_value: int, deg: list[int],
         return True
     if matchings is None:
         matchings = enumerate_matchings(g, r)
-    holders = [0] * g.m  # holders[e]: the listed matchings holding e
-    for j, mt in enumerate(matchings):
-        for e in mt:
-            holders[e] |= 1 << j
     allow_recursion(d)
-    return not _hits(matchings, holders, (1 << len(matchings)) - 1, d, 0)
+    return not _hits(matchings, holder_index(g.m, matchings),
+                     (1 << len(matchings)) - 1, d, 0)
 
 
 def _hits(matchings, holders: list[int], alive: int, d: int,

@@ -195,13 +195,8 @@ def open_graph6(path):
 # ------------------------------------------------------------- generators --
 
 def petersen() -> Graph:
-    """The Petersen graph: outer 5-cycle 0..4, spokes, inner pentagram 5..9."""
-    edges = []
-    for i in range(5):
-        edges.append((i, (i + 1) % 5))
-        edges.append((i, i + 5))
-        edges.append((5 + i, 5 + (i + 2) % 5))
-    return Graph(10, edges)
+    """The Petersen graph, GP(5, 2); its graph6 is IheA@GUAo."""
+    return generalized_petersen(5, 2)
 
 
 def cycle(n: int) -> Graph:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph_core import Graph, bit_indices, check_count, disjoint_matching
-from .matchings import enumerate_matchings
+from .matchings import enumerate_matchings, holder_index
 
 
 @dataclass(frozen=True)
@@ -53,24 +53,20 @@ def build_matching_kneser(g: Graph, r: int) -> KneserGraph:
 
     r is a count >= 1 (graph_core.check_count); r=0 would give a
     degenerate one-vertex graph that answers nothing.  Zero
-    r-matchings yield a null derived graph.  With contains[e] the
-    bitmask of the r-matchings that use host edge e, the row of matching
-    M is everything outside the OR of contains[e] over e in M: O(N*r)
-    big-int operations, no pair tests.
+    r-matchings yield a null derived graph.  With holders[e] the bitmask
+    of the r-matchings that use host edge e (holder_index), the row of
+    matching M is everything outside the OR of holders[e] over e in M:
+    O(N*r) big-int operations, no pair tests.
     """
     check_count(r, 1, "r")
     verts = enumerate_matchings(g, r)
-    contains = [0] * g.m
-    for i, mt in enumerate(verts):
-        bit = 1 << i
-        for e in mt:
-            contains[e] |= bit
+    holders = holder_index(g.m, verts)
     full = (1 << len(verts)) - 1
     rows = []
     for mt in verts:
         meets = 0
         for e in mt:
-            meets |= contains[e]
+            meets |= holders[e]
         rows.append(full & ~meets)
     return _from_rows(g, r, verts, rows)
 

@@ -217,21 +217,33 @@ def enumerate_perfect_matchings(g: Graph) -> list[tuple[int, ...]]:
     return enumerate_matchings(g, g.n // 2)
 
 
+def holder_index(m: int, matchings) -> list[int]:
+    """holders[e] for each of the m host edges: the bitmask of the listed
+    matchings that hold e (bit j for matchings[j]).  The Kneser build,
+    ex's seed proof and schonberger_check all read this one index."""
+    holders = [0] * m
+    for j, mt in enumerate(matchings):
+        bit = 1 << j
+        for e in mt:
+            holders[e] |= bit
+    return holders
+
+
 def schonberger_check(g: Graph):
     """Does every pair of distinct edges miss some perfect matching?
 
     Returns (True, None), or (False, (e, f)) with the lexicographically
-    first pair of edge indices such that no perfect matching avoids both.
-    Requires m >= 2.
+    first pair of edge indices that every perfect matching meets: one
+    OR, holders[e] | holders[f], covers them all.  Requires m >= 2.
     """
     if g.m < 2:
         raise ValueError("schonberger_check needs at least two edges")
-    pm_masks = [sum(1 << e for e in pm)
-                for pm in enumerate_perfect_matchings(g)]
+    pms = enumerate_perfect_matchings(g)
+    holders = holder_index(g.m, pms)
+    everyone = (1 << len(pms)) - 1
     for e in range(g.m):
         for f in range(e + 1, g.m):
-            banned = (1 << e) | (1 << f)
-            if not any(mask & banned == 0 for mask in pm_masks):
+            if holders[e] | holders[f] == everyone:
                 return False, (e, f)
     return True, None
 
@@ -243,7 +255,8 @@ def pairwise_intersect(matchings) -> bool:
     Linear in the total size of the matchings rather than quadratic in
     their number: holders[e] is the bitmask of the matchings that contain
     edge e, so matching M meets every matching iff the union of
-    holders[e] over the edges e of M is all of them.
+    holders[e] over the edges e of M is all of them.  It keeps its own
+    loop, not holder_index: it re-checks the Kneser build independently.
     """
     matchings = list(matchings)
     if len(matchings) < 2:

@@ -193,6 +193,24 @@ def ref_pairwise_intersect(matchings) -> bool:
                for i in range(len(masks)) for j in range(i + 1, len(masks)))
 
 
+def ref_schonberger_check(g: Graph):
+    """mkg.matchings.schonberger_check pair by pair: each pair of edges
+    against every perfect matching's edge mask, with the perfect
+    matchings from ref_r_matchings.  Returns (True, None), or
+    (False, (e, f)) for the lexicographically first pair that no perfect
+    matching avoids; needs m >= 2."""
+    if g.m < 2:
+        raise ValueError("ref_schonberger_check needs at least two edges")
+    pms = ref_r_matchings(g, g.n // 2) if g.n % 2 == 0 else []
+    pm_masks = [sum(1 << e for e in pm) for pm in pms]
+    for e in range(g.m):
+        for f in range(e + 1, g.m):
+            banned = (1 << e) | (1 << f)
+            if not any(mask & banned == 0 for mask in pm_masks):
+                return False, (e, f)
+    return True, None
+
+
 def _rows_to_lists(g):
     """Neighbor lists, ascending, from the adjacency bitmasks g.rows."""
     return [[w for w in range(g.n) if row >> w & 1] for row in g.rows]

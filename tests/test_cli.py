@@ -218,7 +218,7 @@ class TestOneGraph:
     ARGS = {"check": ["-r", "2"], "ex": ["-r", "2"], "chi-index": [],
             "kneser": ["-r", "2"]}
     MESSAGE = ("mkg: line 3 holds a second graph; only mkg scan reads more "
-               "than one (byte offset 0)\n")
+               "than one\n")
 
     @pytest.mark.parametrize("command", sorted(ARGS))
     def test_file(self, g6file, capsys, command):
@@ -236,6 +236,15 @@ class TestOneGraph:
         rc = main([command, "-g", "-", *self.ARGS[command]])
         out, err = capsys.readouterr()
         assert (rc, out, err) == (2, "", self.MESSAGE)
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_blank_input(self, capsys, monkeypatch, command):
+        # an input error of its own, with no graph6 byte offset
+        _stdin_bytes(monkeypatch, b"\n  \n")
+        rc = main([command, "-g", "-", *self.ARGS[command]])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "",
+                                  "mkg: no graph6 line found in input\n")
 
     def test_blank_lines_around_one_graph(self, g6file, capsys):
         path = g6file(generate("cycle(5)"), raw=["", "  "])

@@ -161,7 +161,12 @@ class TestGenerators:
             generate("flower(2)")
 
     def test_generalized_petersen(self):
-        assert generalized_petersen(5, 2) == petersen()
+        # petersen() is GP(5, 2); pin it against its own edge list too
+        edges = [e for i in range(5)
+                 for e in ((i, (i + 1) % 5), (i, i + 5),
+                           (5 + i, 5 + (i + 2) % 5))]
+        assert petersen() == Graph(10, edges) == generalized_petersen(5, 2)
+        assert write_graph6(petersen()) == "IheA@GUAo"
         for k in (3, 4, 7):
             g = generalized_petersen(k, 1)  # the k-prism
             assert g.n == 2 * k and g.m == 3 * k and is_cubic(g)

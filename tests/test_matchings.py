@@ -6,9 +6,11 @@ import pytest
 
 from helpers import (FIXTURES, bad_counts, brute_matching_number,
                      brute_matchings, load_fixture, random_graph, ref_augment,
-                     ref_pairwise_intersect, ref_r_matchings)
+                     ref_pairwise_intersect, ref_r_matchings,
+                     ref_schonberger_check)
 from mkg import (
     Graph,
+    bridges,
     build_matching_kneser,
     enumerate_matchings,
     enumerate_perfect_matchings,
@@ -287,6 +289,32 @@ class TestSchonberger:
         for g in load_fixture("cubic_bridgeless_n14.g6"):
             ok, pair = schonberger_check(g)
             assert ok and pair is None
+
+    def test_twin(self):
+        # one OR of two holder masks per edge pair against the pair-by-pair
+        # test: random graphs of even order (with and without a bridge or
+        # a perfect matching) and the cubic fixtures
+        rng = random.Random(22)
+        kinds = set()
+        graphs = []
+        while len(graphs) < 400:
+            n = rng.choice((2, 4, 6, 8, 10))
+            g = random_graph(rng, n, rng.random())
+            if g.m >= 2:
+                graphs.append(g)
+        for name in ("cubic_bridgeless_n14.g6", "petersen.g6",
+                     "blanusa_1.g6", "blanusa_2.g6", "flower_j5.g6"):
+            graphs += load_fixture(name)
+        for g in graphs:
+            got = schonberger_check(g)
+            assert got == ref_schonberger_check(g), g
+            kinds.add((got[0], bool(bridges(g)),
+                       bool(enumerate_perfect_matchings(g))))
+        # passes and failures, graphs with bridges, graphs with no
+        # perfect matching
+        assert {ok for ok, _, _ in kinds} == {True, False}
+        assert (False, True, True) in kinds and (True, False, True) in kinds
+        assert any(not has_pm for _, _, has_pm in kinds)
 
     def test_pairwise_intersect_wrapper(self):
         assert perfect_matchings_pairwise_intersect(generate("petersen"))
