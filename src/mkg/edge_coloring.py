@@ -2,13 +2,16 @@
 
 Class-2 status is certified exhaustively, never by heuristic: whether a
 cubic graph is a snark is what the whole counterexample hangs on.
-chromatic_index certifies it by counting (an overfull graph) or by
-exhaustive failure of the Delta-edge-coloring search.  is_snark goes
-through the perfect matchings instead: a cubic graph is 3-edge-
-colorable exactly when some perfect matching leaves a 2-factor whose
-cycles are all even, so it is a snark when no perfect matching does.
-The verifier hands it the perfect matchings its Kneser build listed, so
-at n = 2r they are listed once; called alone it lists them itself.
+Both go through the perfect matchings when the graph is cubic: a cubic
+graph is 3-edge-colorable exactly when some perfect matching leaves a
+2-factor whose cycles are all even, so it is class two (and, when
+connected and bridgeless, a snark) when no perfect matching does.
+chromatic_index certifies class two by counting (an overfull graph), by
+that perfect-matching test (a cubic graph), or else by exhaustive
+failure of the Delta-edge-coloring search.
+The verifier hands is_snark the perfect matchings its Kneser build
+listed, so at n = 2r they are listed once; called alone, and in
+chromatic_index, the test lists them itself and stops at the first hit.
 """
 
 from __future__ import annotations
@@ -71,8 +74,11 @@ def chromatic_index(g: Graph) -> EdgeColoringResult:
 
     An overfull graph (m > Delta * floor(n/2)) is class two by counting,
     since each color class is a matching of at most floor(n/2) edges.
+    A cubic graph is class two when no perfect matching leaves an even
+    2-factor (_three_edge_colorable), with no 3-coloring search.
     Otherwise tries a Delta-edge-coloring by backtracking, and the graph
-    is class two when that search fails exhaustively.  For class two the
+    is class two when that search fails exhaustively (on a cubic graph
+    that passed the test it never does).  For class two the
     same backtracker with k=Delta+1 produces the coloring, which
     Vizing's theorem guarantees to exist.
     Convention: m=0 gives chi'=0.
@@ -80,7 +86,8 @@ def chromatic_index(g: Graph) -> EdgeColoringResult:
     if g.m == 0:
         return EdgeColoringResult(0, (), "one")
     delta = max(row.bit_count() for row in g.rows)
-    if g.m <= delta * (g.n // 2):
+    if g.m <= delta * (g.n // 2) and (
+            not is_cubic(g) or _three_edge_colorable(g)):
         col = _backtrack_edge_coloring(g, delta)
         if col is not None:
             return EdgeColoringResult(delta, tuple(col), "one")
@@ -114,6 +121,18 @@ def _leaves_even_two_factor(g: Graph, pm: tuple[int, ...]) -> bool:
     return True
 
 
+def _three_edge_colorable(g: Graph, perfect_matchings=None) -> bool:
+    """Does some perfect matching of the cubic graph g leave an even
+    2-factor, that is, is g 3-edge-colorable?  Goes through
+    perfect_matchings when given (all of g's, in any order), and
+    otherwise lists them lazily with _search, stopping at the first
+    hit; a graph with no perfect matching answers False."""
+    even = partial(_leaves_even_two_factor, g)
+    if perfect_matchings is not None:
+        return any(map(even, perfect_matchings))
+    return _search(g, g.n // 2, None, even)
+
+
 def is_snark(g: Graph, perfect_matchings=None):
     """(bool, reason) snark test: connected, bridgeless, cubic, class two.
 
@@ -132,8 +151,6 @@ def is_snark(g: Graph, perfect_matchings=None):
     if not is_cubic(g):
         return False, "not cubic"
     # cubic: m = 3n/2 is never overfull, so chi' is 3 or 4 (0 when n = 0)
-    even = partial(_leaves_even_two_factor, g)
-    if (any(map(even, perfect_matchings)) if perfect_matchings is not None
-            else _search(g, g.n // 2, None, even)):
+    if _three_edge_colorable(g, perfect_matchings):
         return False, f"chromatic index {3 if g.m else 0}"
     return True, None

@@ -8,6 +8,10 @@ name edges through it.
 
 graph6 support is deliberately short-form only (n <= 62): the intended
 inputs are desk-scale catalogs of small graphs.
+
+Of the predicates, is_connected is one bitmask reachability search from
+vertex 0, and bridges one iterative low-link depth-first search, linear
+in n + m.
 """
 
 from __future__ import annotations
@@ -306,18 +310,49 @@ def is_connected(g: Graph) -> bool:
 
 
 def bridges(g: Graph) -> list[int]:
-    """Edge indices of all bridges, sorted ascending: the edges (u, v)
-    that leave v out of u's reach once they are removed."""
-    rows = list(g.rows)
-    out = []
-    for i, (u, v) in enumerate(g.edges):
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        if not _reach(rows, u) >> v & 1:
-            out.append(i)
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-    return out
+    """Edge indices of all bridges, sorted ascending.
+
+    One low-link depth-first search (Tarjan 1974), iterative over the
+    adjacency bitmasks, so a long path needs no recursion: low[v] is the
+    earliest discovery time reachable from v's subtree by one back edge,
+    and the tree edge (p, v) is a bridge when low[v] > disc[p].  todo[v]
+    holds the neighbours v has not looked at yet; a child drops its
+    parent from it, since a simple graph has one edge between them.
+    """
+    disc = [0] * g.n  # discovery time, from 1; 0 while undiscovered
+    low = [0] * g.n
+    todo = list(g.rows)
+    found = set()
+    t = 0
+    for root in range(g.n):
+        if disc[root]:
+            continue
+        t += 1
+        disc[root] = low[root] = t
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            nb = todo[v]
+            if nb:
+                bit = nb & -nb
+                todo[v] = nb ^ bit
+                w = bit.bit_length() - 1
+                if not disc[w]:
+                    t += 1
+                    disc[w] = low[w] = t
+                    todo[w] ^= 1 << v
+                    stack.append(w)
+                elif disc[w] < low[v]:
+                    low[v] = disc[w]
+                continue
+            stack.pop()
+            if stack:
+                p = stack[-1]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                elif low[v] > disc[p]:
+                    found.add((p, v) if p < v else (v, p))
+    return [i for i, e in enumerate(g.edges) if e in found]
 
 
 def is_cubic(g: Graph) -> bool:

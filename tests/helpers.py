@@ -15,6 +15,7 @@ from pathlib import Path
 from random import Random
 
 from mkg import BudgetExhausted, Graph, parse_graph6, star_removal_bound
+from mkg.edge_coloring import EdgeColoringResult, _backtrack_edge_coloring
 from mkg.graph_core import bit_indices
 from mkg.matchings import _augment
 
@@ -385,6 +386,43 @@ def reachability_connected(g: Graph) -> bool:
                     if row_k[j]:
                         row_i[j] = True
     return all(reach[0])
+
+
+def ref_bridges(g: Graph) -> list:
+    """mkg.graph_core.bridges as it was before its low-link search: an
+    edge (u, v) is a bridge when, with the edge removed, v is out of
+    u's reach, found by one breadth-first search per edge."""
+    adj = [set(bit_indices(row)) for row in g.rows]
+    out = []
+    for i, (u, v) in enumerate(g.edges):
+        seen = {u}
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y not in seen and {x, y} != {u, v}:
+                    seen.add(y)
+                    queue.append(y)
+        if v not in seen:
+            out.append(i)
+    return out
+
+
+def ref_chromatic_index(g: Graph) -> EdgeColoringResult:
+    """mkg.edge_coloring.chromatic_index as it was before cubic graphs
+    went through their perfect matchings: counting for an overfull
+    graph, else the backtracker at Delta colors, and at Delta + 1 after
+    that search fails exhaustively.  It shares the backtracker, so the
+    witnesses must be the same colorings."""
+    if g.m == 0:
+        return EdgeColoringResult(0, (), "one")
+    delta = max(row.bit_count() for row in g.rows)
+    if g.m <= delta * (g.n // 2):
+        col = _backtrack_edge_coloring(g, delta)
+        if col is not None:
+            return EdgeColoringResult(delta, tuple(col), "one")
+    col = _backtrack_edge_coloring(g, delta + 1)
+    return EdgeColoringResult(delta + 1, tuple(col), "two")
 
 
 # Reference twins of the two chi search engines in mkg.coloring, as they

@@ -4,7 +4,8 @@ import time
 from itertools import combinations
 
 import mkg.edge_coloring
-from helpers import FIXTURES, brute_chromatic, load_fixture, random_graph
+from helpers import (FIXTURES, brute_chromatic, load_fixture, random_graph,
+                     ref_chromatic_index)
 from mkg import (Graph, bridges, generalized_petersen, generate, is_connected,
                  is_cubic, perfect_matchings_pairwise_intersect)
 from mkg.edge_coloring import (_backtrack_edge_coloring, chromatic_index,
@@ -16,6 +17,20 @@ from mkg.matchings import enumerate_perfect_matchings
 # witness coloring
 GOLDEN_SHA256 = ("9dbfec45b48e6cc437be80e7476c3cf8"
                  "49ecaf82e45101b5c5ceb7ce792320cb")
+
+# sha256 of repr(chromatic_index(flower(k))), as the exhaustive 3-color
+# search and the 4-color backtracker gave it
+FLOWER_SHA256 = {
+    7: "12994b791cfad301e1b225555b38ad7fde8aabf49e145c1815534b31b8e281db",
+    9: "c25df7d1ad5e2f0b7599f6c7441dfaaea76e56c5a0d9cc29fa17c9304d4efe3d",
+}
+
+# a centre (vertex 15) joined by three bridges to three K4s, each with
+# one edge subdivided: connected and cubic, with no perfect matching,
+# since deleting the centre leaves three odd components
+NO_PM_CUBIC = Graph(16, [e for b in (0, 5, 10) for e in (
+    (b, b + 1), (b, b + 2), (b, b + 3), (b + 1, b + 2), (b + 1, b + 4),
+    (b + 2, b + 3), (b + 3, b + 4), (b + 4, 15))])
 
 
 def line_graph(g: Graph) -> Graph:
@@ -121,6 +136,60 @@ class TestChromaticIndex:
         assert res.chromatic_index == 9 and res.vizing_class == "two"
         assert_proper(g, res)
 
+    def test_flower_witnesses_pinned(self):
+        # class two from the perfect matchings: no exhaustive 3-color
+        # search, so J9 answers in milliseconds
+        for k, want in FLOWER_SHA256.items():
+            res = chromatic_index(generate(f"flower({k})"))
+            assert res.vizing_class == "two"
+            assert hashlib.sha256(repr(res).encode()).hexdigest() == want
+
+    def test_matches_twin(self):
+        # the route before cubic graphs went through their perfect
+        # matchings: the same result, witness included, on every host
+        cubic = two = 0
+        for g in _scan_hosts():
+            res = chromatic_index(g)
+            assert res == ref_chromatic_index(g), g
+            if is_cubic(g) and g.m:
+                cubic += 1
+                two += res.vizing_class == "two"
+        # the 75 cubic hosts and 9 snarks of TestEvenTwoFactorScan
+        assert (cubic, two) == (75, 9)
+
+    def test_cubic_runs_one_backtracker(self, monkeypatch):
+        # a cubic graph is decided by its perfect matchings first: a
+        # class-two one runs only the 4-color search, a class-one one
+        # only the 3-color search
+        calls = []
+        backtrack = mkg.edge_coloring._backtrack_edge_coloring
+
+        def spy(g, k):
+            calls.append(k)
+            return backtrack(g, k)
+
+        monkeypatch.setattr(mkg.edge_coloring, "_backtrack_edge_coloring",
+                            spy)
+        seen = set()
+        for g in _scan_hosts() + [NO_PM_CUBIC]:
+            if not is_cubic(g) or g.m == 0:
+                continue
+            calls.clear()
+            res = chromatic_index(g)
+            assert calls == [res.chromatic_index], g
+            seen.add(res.vizing_class)
+        assert seen == {"one", "two"}
+
+    def test_cubic_without_perfect_matching(self):
+        g = NO_PM_CUBIC
+        assert is_cubic(g) and is_connected(g)
+        assert bridges(g) == [g.edges.index((b + 4, 15)) for b in (0, 5, 10)]
+        assert enumerate_perfect_matchings(g) == []
+        res = chromatic_index(g)
+        assert res == ref_chromatic_index(g)
+        assert res.chromatic_index == 4 and res.vizing_class == "two"
+        assert_proper(g, res)
+        assert is_snark(g) == (False, "has a bridge")
 
 
 BRIDGED_CUBIC = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3),
@@ -165,9 +234,9 @@ class TestIsSnark:
             assert ok and reason is None
 
     def test_matches_chromatic_index_route(self):
-        # is_snark runs one 3-edge-coloring search; the route through
-        # chromatic_index, which also builds a class-two witness, must
-        # give the same pair, reason strings included
+        # is_snark goes through the perfect matchings; the route through
+        # the chromatic index twin, which shares no code with that test,
+        # must give the same pair, reason strings included
         def via_chromatic_index(g):
             if not is_connected(g):
                 return False, "not connected"
@@ -175,7 +244,7 @@ class TestIsSnark:
                 return False, "has a bridge"
             if not is_cubic(g):
                 return False, "not cubic"
-            ci = chromatic_index(g).chromatic_index
+            ci = ref_chromatic_index(g).chromatic_index
             return (ci == 4, None if ci == 4 else f"chromatic index {ci}")
 
         graphs = load_fixture("cubic_bridgeless_n14.g6")

@@ -1,10 +1,12 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 import networkx as nx
 from helpers import (FIXTURES, bad_counts, load_fixture, random_graph,
-                     reachability_connected)
+                     reachability_connected, ref_bridges)
 from mkg import (
     Graph,
     Graph6Error,
@@ -232,12 +234,79 @@ class TestBridges:
         for g in graphs:
             out = bridges(g)
             assert out == sorted(out)
-            # cross-check membership against networkx
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges)
-            ref = {tuple(sorted(e)) for e in nx.bridges(h)} if g.m else set()
-            assert {g.edges[i] for i in out} == ref
+            assert set(out) == _nx_bridges(g)
+
+    def test_matches_twins_on_random_graphs(self):
+        # the low-link search against the per-edge reachability twin and
+        # networkx: sparse and dense graphs up to 14 vertices, with
+        # isolated vertices, several components joined or not by single
+        # edges, and n = 0 and n = 1
+        rng = random.Random(1974)
+        graphs = [Graph(0, []), Graph(1, [])]
+        while len(graphs) < 2200:
+            n = rng.randrange(0, 15)
+            edges = []
+            start = 0
+            while start < n:
+                size = rng.randrange(1, n - start + 1)
+                p = rng.random()
+                edges += [(start + u, start + v)
+                          for u in range(size) for v in range(u + 1, size)
+                          if rng.random() < p]
+                if start and rng.random() < 0.5:
+                    edges.append((rng.randrange(start),
+                                  start + rng.randrange(size)))
+                start += size
+            graphs.append(Graph(n, edges))
+        kinds = set()
+        for g in graphs:
+            out = bridges(g)
+            assert out == ref_bridges(g), g
+            assert set(out) == _nx_bridges(g), g
+            kinds.add((is_connected(g), bool(out),
+                       any(row == 0 for row in g.rows)))
+        # connected or not, with bridges or not, with an isolated vertex
+        # or not: a connected graph with an isolated vertex is K1
+        assert len(kinds) == 7
+
+    def test_matches_twins_on_fixtures_and_bench_corpora(self):
+        graphs = [g for path in sorted(FIXTURES.glob("*.g6"))
+                  for g in load_fixture(path.name)]
+        for path in sorted(BENCH_CORPUS.glob("*.g6")):
+            graphs += [parse_graph6(line)
+                       for line in path.read_text().splitlines() if line]
+        # 1,015 fixture graphs, 996 + 19 bench hosts
+        assert len(graphs) == 2030
+        for g in graphs:
+            out = bridges(g)
+            assert out == ref_bridges(g), g
+            assert set(out) == _nx_bridges(g), g
+
+    def test_long_path_and_cycle_at_default_recursion_limit(self):
+        # the search is iterative: 5,000 vertices deep at the default
+        # limit of 1,000 frames ends in no RecursionError
+        n = 5000
+        path = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert bridges(path) == list(range(path.m))
+            assert bridges(cycle(n)) == []
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+BENCH_CORPUS = Path(__file__).resolve().parent.parent / "mkgbench" / "corpus"
+
+
+def _nx_bridges(g: Graph) -> set:
+    """The edge indices of g's bridges, by networkx."""
+    if not g.m:
+        return set()
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return {g.edges.index(tuple(sorted(e))) for e in nx.bridges(h)}
 
 
 def test_is_cubic():
