@@ -6,7 +6,8 @@ Two complete search engines sit behind chromatic_number:
   Tie-breaks are fixed (highest saturation, then highest degree, then
   lowest vertex index) so search traces are reproducible.  Its first
   leaf, the one-pass DSATUR coloring, is the upper bound both engines
-  start from.
+  start from.  It returns at a node that uses as many colors as the
+  incumbent: the count never falls along a branch.
 * a set-cover branch and bound over all maximal independent sets, used
   for large dense inputs where DSATUR crawls.  Dense matching Kneser
   graphs have few maximal independent sets (intersecting families), so
@@ -32,8 +33,8 @@ set does not meet and grows only the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .graph_core import allow_recursion, bit_indices, check_count
 from .kneser import KneserGraph
@@ -50,8 +51,7 @@ _CLIQUE_CAP = 8  # the lower-bound clique search looks no further
 _CLIQUE_NODES = 50_000
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Proper vertex coloring; colors[v] in 0..k-1, every color used."""
 
     colors: tuple[int, ...]
@@ -222,12 +222,13 @@ def _dsatur_bnb(masks, n, clique, ub0, cols0, budget, first=False):
 
     def rec(used):
         nonlocal best_k, best_cols, nodes, uncolored
-        if best_k <= enough:
+        # used never falls along a branch, so once it reaches best_k no
+        # leaf below can improve on the incumbent
+        if best_k <= enough or used >= best_k:
             return
         if not uncolored:
-            if used < best_k:
-                best_k = used
-                best_cols = [colors[i] for i in label]
+            best_k = used
+            best_cols = [colors[i] for i in label]
             return
         s = used
         while not level[s]:

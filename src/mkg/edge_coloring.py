@@ -16,15 +16,14 @@ chromatic_index, the test lists them itself and stops at the first hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .graph_core import Graph, allow_recursion, bridges, is_connected, is_cubic
 from .matchings import _search
 
 
-@dataclass(frozen=True)
-class EdgeColoringResult:
+class EdgeColoringResult(NamedTuple):
     chromatic_index: int
     coloring: tuple[int, ...]  # edge index -> color in 0..chromatic_index-1
     vizing_class: str  # "one" if chi' == Delta else "two"

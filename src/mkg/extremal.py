@@ -42,15 +42,14 @@ bound does not use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph_core import Graph, allow_recursion, bit_indices, check_count
 from .matchings import (_augment, enumerate_matchings, has_matching_of_size,
                         holder_index)
 
 
-@dataclass(frozen=True)
-class ExtremalCertificate:
+class ExtremalCertificate(NamedTuple):
     """Edge subset F with nu(F) <= r-1 witnessing a value of ex(G, rK2)."""
 
     edges: frozenset[int]

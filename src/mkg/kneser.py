@@ -11,15 +11,14 @@ equality: equal vertices and equal rows, with no vertex map to search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph_core import Graph, bit_indices, check_count, disjoint_matching
 from .matchings import enumerate_matchings, holder_index
 
 
-@dataclass(frozen=True)
-class KneserGraph:
+class KneserGraph(NamedTuple):
     """A derived Kneser-type graph, held as one adjacency bitmask per vertex.
 
     base: the host graph G.

@@ -12,10 +12,9 @@ hold in every report; "counterexample" means the hypotheses hold
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .coloring import (BudgetExhausted, DEFAULT_BUDGET, chromatic_number,
                        validate_coloring)
@@ -33,8 +32,7 @@ VERDICT_OUT_OF_SCOPE = "r-out-of-scope"
 VERDICT_UNDECIDED = "undecided"
 
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Both sides of the conjecture for one (graph, r) instance.
 
     certificates holds, in fixed key order: "extremal_edges" (sorted edge
@@ -58,7 +56,7 @@ class ConjectureReport:
     rhs: int
     verdict: str
     is_snark: bool
-    certificates: dict = field(default_factory=dict)
+    certificates: dict
 
 
 class SelfCheckError(RuntimeError):
@@ -66,8 +64,7 @@ class SelfCheckError(RuntimeError):
     re-check; no verdict is given for that instance."""
 
 
-@dataclass
-class ScanError:
+class ScanError(NamedTuple):
     """A line of a catalog that failed to parse; scanning continues."""
 
     line: int
@@ -237,18 +234,15 @@ def report_to_json(rep: ConjectureReport) -> str:
     The encoder is fixed (compact separators, no key sorting) so that
     parse -> re-serialize round-trips byte-identically.
     """
-    d = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
-    return json.dumps(d, separators=(",", ":"))
+    return json.dumps(rep._asdict(), separators=(",", ":"))
 
 
 def report_from_json(text: str) -> ConjectureReport:
     d = json.loads(text)
-    names = {f.name for f in dataclasses.fields(ConjectureReport)}
-    if set(d) != names:
+    if not isinstance(d, dict) or set(d) != set(ConjectureReport._fields):
         raise ValueError("not a ConjectureReport line")
     return ConjectureReport(**d)
 
 
 def scan_error_to_json(err: ScanError) -> str:
-    return json.dumps({"line": err.line, "error": err.error},
-                      separators=(",", ":"))
+    return json.dumps(err._asdict(), separators=(",", ":"))

@@ -472,12 +472,11 @@ def ref_dsatur_bnb(masks, n, clique, ub0, cols0, budget, first=False):
 
     def rec(remaining, used):
         nonlocal best_k, best_cols, nodes
-        if best_k <= enough:
+        if best_k <= enough or used >= best_k:
             return
         if not remaining:
-            if used < best_k:
-                best_k = used
-                best_cols = colors.copy()
+            best_k = used
+            best_cols = colors.copy()
             return
         v = max(remaining, key=lambda u: (satdeg[u], degs[u], -u))
         rest = [u for u in remaining if u != v]

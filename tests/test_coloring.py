@@ -399,8 +399,9 @@ class TestSearchFingerprint:
     def test_outcomes_pinned(self):
         # chi or the exhaustion bounds at three budgets, on a graph that
         # the cover engine takes (KG(K8, 2K2), 210 vertices) and one that
-        # DSATUR takes (Petersen at r = 3, 145 vertices); pinned before
-        # the engines moved to per-color bitmasks
+        # DSATUR takes (Petersen at r = 3, 145 vertices).  DSATUR returns
+        # at a node whose colour count has reached the incumbent's, so
+        # Petersen exhausts budgets 10^3 and 10^4 at [5, 9], not [5, 10]
         out = []
         for name, r in (("complete(8)", 2), ("petersen", 3)):
             kg = build_matching_kneser(generate(name), r)
@@ -412,7 +413,7 @@ class TestSearchFingerprint:
                     out.append(("exhausted", err.lower_bound,
                                 err.upper_bound))
         assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-            "fea15b688f6eed615fcb0aa00b655e9cc9b74aa874f0aaf3950638936d98ec52")
+            "f837a45be48c65042ede6201a80a572e9e45182d408a6cc5f76ee8144d2f6d7d")
 
 
 class TestBudget:

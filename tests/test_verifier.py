@@ -136,6 +136,18 @@ class TestVerifyConjecture:
         assert 0 < lo <= hi
         assert rep.certificates["coloring"] == []
 
+    def test_flower_j7_minus_a_vertex_holds(self):
+        # KG(J7 - v, 13K2): 720 vertices, 4,192 edges.  DSATUR starts
+        # from a 4-colouring and soon meets a 3-colouring; it must then
+        # return at every open node that already uses 3 colours, since
+        # searching below them takes more than 10^5 nodes
+        f = generate("flower(7)")
+        g = Graph(f.n - 1, [(a - 1, b - 1) for a, b in f.edges if a > 0])
+        rep = verify_conjecture(g, 13)
+        assert (rep.kneser_vertices, rep.kneser_edges) == (720, 4192)
+        assert rep.verdict == VERDICT_HOLDS
+        assert rep.chromatic_number == rep.rhs == 3
+
     def test_snark_fixtures(self):
         for name in ("flower_j5.g6", "blanusa_1.g6", "blanusa_2.g6"):
             g = load_fixture(name)[0]
@@ -336,10 +348,15 @@ class TestJson:
                         "kneser_vertices", "kneser_edges", "chromatic_number",
                         "ex_value", "rhs", "verdict", "is_snark",
                         "certificates"]
+        assert keys == list(ConjectureReport._fields)
 
     def test_rejects_foreign_lines(self):
-        with pytest.raises(ValueError):
-            report_from_json('{"line":3,"error":"nope"}')
+        # any JSON value but an object with the report's keys
+        for line in ('{"line":3,"error":"nope"}', "[1]", "3", "null",
+                     '"graph6"', "true"):
+            with pytest.raises(ValueError,
+                               match="not a ConjectureReport line"):
+                report_from_json(line)
 
     def test_scan_error_json(self):
         assert (scan_error_to_json(ScanError(7, "bad byte"))
