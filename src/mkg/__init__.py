@@ -17,7 +17,8 @@ from .edge_coloring import EdgeColoringResult, chromatic_index, is_snark
 from .kneser import KneserGraph, build_kneser, build_matching_kneser, to_dot
 from .coloring import (BudgetExhausted, Coloring, DEFAULT_BUDGET,
                        InvalidCertificateError, chromatic_number,
-                       greedy_ex_coloring, validate_coloring)
+                       greedy_ex_coloring, star_triangle_bound,
+                       validate_coloring)
 from .extremal import (ExtremalCertificate, ex_exact, star_removal_bound,
                        validate_certificate)
 from .verifier import (ConjectureReport, ScanError, report_from_json,
@@ -38,7 +39,7 @@ __all__ = [
     "KneserGraph", "build_matching_kneser", "build_kneser", "to_dot",
     "Coloring", "BudgetExhausted", "InvalidCertificateError",
     "DEFAULT_BUDGET", "chromatic_number", "greedy_ex_coloring",
-    "validate_coloring",
+    "star_triangle_bound", "validate_coloring",
     "ExtremalCertificate", "ex_exact", "star_removal_bound",
     "validate_certificate",
     "ConjectureReport", "ScanError", "verify_conjecture", "scan_lines",

@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--json", action="store_true",
                         help="emit each report as one JSON line")
     verify.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                        help="coloring search node budget")
+                        help="node budget of each chi search, and at r = 2 "
+                             "of the star-triangle lower bound")
 
     p_check = sub.add_parser("check", parents=[verify],
                              help="verify one graph")

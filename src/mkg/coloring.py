@@ -29,6 +29,11 @@ parent's loop (count, leaf, memo, alpha and clique bounds), so only the
 children it expands cost a call, and it carries the greedy clique bound
 down: a child reuses the prefix of its parent's clique that the chosen
 set does not meet and grows only the rest.
+
+star_triangle_bound proves chi(KG(G, 2K2)) >= |E| - ex(G, 2K2) by
+counting star and triangle color classes, which decides r = 2 on most
+hosts without a coloring search: the theorem's coloring
+(greedy_ex_coloring) then has the fewest colors.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ _MIS_CAP = 100_000  # bail out to DSATUR if the MIS family explodes
 _MEMO_CAP = 1_500_000
 _CLIQUE_CAP = 8  # the lower-bound clique search looks no further
 _CLIQUE_NODES = 50_000
+_STAR_TRIANGLE_NODES = 1_000_000  # about a second
 
 
 class Coloring(NamedTuple):
@@ -80,6 +86,10 @@ class InvalidCertificateError(ValueError):
 
 
 class _MisOverflow(Exception):
+    pass
+
+
+class _SearchCapped(Exception):
     pass
 
 
@@ -496,6 +506,77 @@ def greedy_ex_coloring(kg: KneserGraph, extremal) -> Coloring:
         raw.append(e)
     remap = {e: c for c, e in enumerate(sorted(set(raw)))}
     return Coloring(tuple(remap[e] for e in raw), len(remap))
+
+
+def star_triangle_bound(g, ex_value: int,
+                        budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether chi(KG(g, 2K2)) >= g.m - ex_value follows from counting.
+
+    Two 2-matchings of g are non-adjacent in KG(g, 2K2) when they share
+    an edge, so a color class lies in a star (every 2-matching through
+    one edge e) or is a triangle {e+f, e+g, f+g} of a 3-matching
+    {e, f, g}.  Let T be the centers of a coloring's star classes and S
+    = E - T: the p(S) 2-matchings inside S meet no star class and take
+    three per triangle class at most.  So every coloring has at least
+    m - |S| + ceil(p(S) / 3) colors, and chi >= m - ex_value unless some
+    edge set S has 3|S| - p(S) >= 3 ex_value + 3.
+
+    Decided by a keep/skip branch and bound over the edges in index
+    order.  Adding e to S changes 3|S| - p(S) by 3 - d, d the number of
+    edges of S vertex-disjoint from e; d never falls as S grows, so an
+    edge with d >= 3 is never added, and a node is cut once its value
+    plus the positive gains of the undecided edges misses the target.
+    The counts are held as three bitmasks, the edges with d = 0, 1 and
+    2, so a node costs a few bitmask operations.  The search stops
+    after budget nodes, or _STAR_TRIANGLE_NODES if fewer, and returns
+    False, which only withholds the bound.  budget is a count >= 0
+    (graph_core.check_count).
+    """
+    check_count(budget, 0, "budget")
+    cap = min(budget, _STAR_TRIANGLE_NODES)
+    m = g.m
+    ends = [(1 << u) | (1 << v) for u, v in g.edges]
+    # disjoint[e]: bitmask of the edges vertex-disjoint from e
+    disjoint = [sum(1 << f for f in range(m) if not ends[e] & ends[f])
+                for e in range(m)]
+    target = 3 * ex_value + 3
+    nodes = 0
+
+    def reaches(rest: int, d0: int, d1: int, d2: int, value: int) -> bool:
+        # whether adding edges of rest, the undecided edges that still
+        # gain, lifts value to target.  d0, d1 and d2 hold the edges
+        # with 0, 1 and 2 edges of S vertex-disjoint from them, so an
+        # edge of d0 gains 3, of d1 2 and of d2 1; the others gain none
+        nonlocal nodes
+        room = (value + 3 * (rest & d0).bit_count()
+                + 2 * (rest & d1).bit_count() + (rest & d2).bit_count())
+        while rest:
+            if room < target:
+                return False
+            nodes += 1
+            if nodes > cap:
+                raise _SearchCapped
+            bit = rest & -rest
+            rest ^= bit
+            gain = 3 if d0 & bit else 2 if d1 & bit else 1
+            if value + gain >= target:
+                return True
+            # keep the edge: its disjoint edges move up one count
+            far = disjoint[bit.bit_length() - 1]
+            k0 = d0 & ~far
+            k1 = (d1 & ~far) | (d0 & far)
+            k2 = (d2 & ~far) | (d1 & far)
+            if reaches(rest & (k0 | k1 | k2), k0, k1, k2, value + gain):
+                return True
+            room -= gain
+        return False
+
+    allow_recursion(m)
+    every = (1 << m) - 1
+    try:
+        return not reaches(every, every, 0, 0, 0)
+    except _SearchCapped:
+        return False
 
 
 def validate_coloring(graph, coloring: Coloring) -> bool:

@@ -17,6 +17,7 @@ import re
 from typing import NamedTuple
 
 from .coloring import (BudgetExhausted, DEFAULT_BUDGET, chromatic_number,
+                       greedy_ex_coloring, star_triangle_bound,
                        validate_coloring)
 from .edge_coloring import is_snark
 from .extremal import ex_exact, validate_certificate
@@ -83,9 +84,13 @@ def verify_conjecture(g: Graph, r: int,
     Before any report is returned the ex certificate, and the coloring
     when one was found, are re-checked by independent code, and chi (or,
     when undecided, its lower bound) is checked against the theorem
-    chi <= rhs; a failure raises SelfCheckError.  r is a count >= 1 and
-    budget one >= 0 (graph_core.check_count), and g has a graph6 form
-    (n <= 62), all checked before any search.
+    chi <= rhs; a failure raises SelfCheckError.  At r = 2, a host that
+    star_triangle_bound certifies within the node budget has chi >= rhs,
+    so the theorem's coloring (greedy_ex_coloring) is taken with no
+    coloring search; fewer colors refute the bound and raise
+    SelfCheckError too.  r is a count >= 1 and budget one >= 0
+    (graph_core.check_count), and g has a graph6 form (n <= 62), all
+    checked before any search.
     """
     check_count(r, 1, "r")
     check_count(budget, 0, "budget")
@@ -102,7 +107,17 @@ def verify_conjecture(g: Graph, r: int,
     snark, _ = is_snark(g, listed)
     certs = {"extremal_edges": sorted(cert.edges)}
     try:
-        chi, col = chromatic_number(kg, budget=budget)
+        if r == 2 and kg.m > 0 and star_triangle_bound(g, cert.value,
+                                                       budget):
+            # chi >= rhs is proved, so the theorem's coloring is optimal
+            col = greedy_ex_coloring(kg, cert)
+            chi = col.k
+            if chi < rhs:
+                raise SelfCheckError(
+                    f"a {chi}-coloring of KG({g6}, {r}K2) refutes the "
+                    f"star-triangle bound chi >= rhs = {rhs}")
+        else:
+            chi, col = chromatic_number(kg, budget=budget)
     except BudgetExhausted as exc:
         chi, lower = -1, exc.lower_bound  # -1 marks chi undecided
         certs["coloring"] = []
@@ -237,10 +252,31 @@ def report_to_json(rep: ConjectureReport) -> str:
     return json.dumps(rep._asdict(), separators=(",", ":"))
 
 
+_VERDICTS = (VERDICT_HOLDS, VERDICT_COUNTEREXAMPLE, VERDICT_NOT_CONNECTED,
+             VERDICT_OUT_OF_SCOPE, VERDICT_UNDECIDED)
+
+
 def report_from_json(text: str) -> ConjectureReport:
+    """The report of a report_to_json line.  Raises ValueError unless
+    the line is an object with exactly the report's keys, graph6 a
+    string, the counts ints (not bools), verdict one of the five,
+    is_snark a bool and certificates an object."""
     d = json.loads(text)
     if not isinstance(d, dict) or set(d) != set(ConjectureReport._fields):
         raise ValueError("not a ConjectureReport line")
+    for name, value in d.items():
+        if name == "graph6":
+            ok = isinstance(value, str)
+        elif name == "verdict":
+            ok = value in _VERDICTS
+        elif name == "is_snark":
+            ok = isinstance(value, bool)
+        elif name == "certificates":
+            ok = isinstance(value, dict)
+        else:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        if not ok:
+            raise ValueError(f"ConjectureReport field {name} is {value!r}")
     return ConjectureReport(**d)
 
 

@@ -325,6 +325,19 @@ def brute_ex_keep_first(g: Graph, r: int) -> frozenset:
     return frozenset(e for e in range(g.m) if best >> e & 1)
 
 
+def brute_star_triangle_excess(g: Graph) -> int:
+    """The largest 3|S| - p(S) over all 2^m edge sets S of g, p(S) the
+    number of pairs of edges of S with no common end, counted pair by
+    pair.  mkg.coloring.star_triangle_bound(g, ex) is true iff this is
+    below 3 ex + 3."""
+    best = 0
+    for bits in range(1 << g.m):
+        s = [g.edges[e] for e in range(g.m) if bits >> e & 1]
+        p = sum(1 for a, b in combinations(s, 2) if not set(a) & set(b))
+        best = max(best, 3 * len(s) - p)
+    return best
+
+
 def brute_ex(g: Graph, r: int) -> int:
     return brute_ex_multi(g, [r])[r]
 

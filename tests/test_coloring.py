@@ -7,7 +7,8 @@ import types
 import pytest
 
 from helpers import (bad_counts, brute_chromatic, brute_clique_number,
-                     load_fixture, random_graph, ref_cover_bnb, ref_dsatur_bnb,
+                     brute_star_triangle_excess, load_fixture, random_graph,
+                     ref_cover_bnb, ref_dsatur_bnb,
                      ref_maximal_independent_sets)
 from mkg import (
     BudgetExhausted,
@@ -18,6 +19,7 @@ from mkg import (
     chromatic_number,
     generate,
     greedy_ex_coloring,
+    star_triangle_bound,
     validate_coloring,
 )
 from mkg import coloring
@@ -516,6 +518,60 @@ class TestGreedyExColoring:
             assert col.k <= g.m - cert.value
             if kg.n:
                 assert chromatic_number(kg)[0] <= col.k
+
+
+class TestStarTriangleBound:
+    def test_matches_brute_force(self):
+        rng = random.Random(2020)
+        checked = 0
+        while checked < 40:
+            g = random_graph(rng, rng.randrange(4, 9), rng.random())
+            if g.m > 12:
+                continue
+            checked += 1
+            excess = brute_star_triangle_excess(g)
+            for ex_value in range(g.m + 1):
+                assert star_triangle_bound(g, ex_value) == (
+                    excess < 3 * ex_value + 3), (g.edges, ex_value)
+
+    def test_sound_on_connected_n7(self):
+        # wherever the bound certifies chi >= rhs at r = 2, the search,
+        # told nothing, finds chi = rhs
+        hosts = load_fixture("connected_n7.g6")
+        assert len(hosts) == 996
+        certified = 0
+        for g in hosts:
+            ex_value = ex_exact(g, 2).value
+            if not star_triangle_bound(g, ex_value):
+                continue
+            certified += 1
+            kg = build_matching_kneser(g, 2)
+            assert chromatic_number(kg)[0] == g.m - ex_value, g.edges
+        assert certified == 859
+
+    def test_complete_hosts(self):
+        # K4 and K5 reach the target with their whole edge set:
+        # 3 * 6 - 3 = 15 >= 3 * 3 + 3, and 3 * 10 - 15 = 15 >= 3 * 4 + 3
+        for n in (4, 5):
+            g = generate(f"complete({n})")
+            assert not star_triangle_bound(g, n - 1)
+        for n in range(6, 11):
+            assert star_triangle_bound(generate(f"complete({n})"), n - 1)
+
+    def test_node_caps_withhold_the_bound(self, monkeypatch):
+        # KG(K6, 2K2) is certified after 298 nodes, not within 297, and
+        # the search takes the smaller of budget and its own cap
+        g = generate("complete(6)")
+        assert star_triangle_bound(g, 5, budget=298)
+        assert not star_triangle_bound(g, 5, budget=297)
+        assert not star_triangle_bound(g, 5, budget=0)
+        monkeypatch.setattr(coloring, "_STAR_TRIANGLE_NODES", 297)
+        assert not star_triangle_bound(g, 5)
+
+    @pytest.mark.parametrize("budget", bad_counts(0))
+    def test_rejects_bad_budget(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            star_triangle_bound(generate("complete(6)"), 5, budget=budget)
 
 
 class TestValidateColoring:

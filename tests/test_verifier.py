@@ -136,6 +136,30 @@ class TestVerifyConjecture:
         assert 0 < lo <= hi
         assert rep.certificates["coloring"] == []
 
+    def test_complete_hosts_at_r2_hold(self):
+        # the star-triangle count proves chi >= rhs for K6-K10, so the
+        # greedy rhs-coloring is returned; chi(KG(Kn, 2K2)) = C(n-1, 2)
+        for n in range(6, 11):
+            rep = verify_conjecture(generate(f"complete({n})"), 2)
+            assert rep.verdict == VERDICT_HOLDS
+            assert rep.chromatic_number == rep.rhs == (n - 1) * (n - 2) // 2
+
+    def test_search_runs_only_where_the_bound_fails(self, monkeypatch):
+        calls = []
+        real = mkg.verifier.chromatic_number
+
+        def spy(kg, budget):
+            calls.append((kg.base.n, kg.r, budget))
+            return real(kg, budget=budget)
+
+        monkeypatch.setattr(mkg.verifier, "chromatic_number", spy)
+        for n, r, budget in ((5, 2, 10**5), (6, 2, 10**5), (6, 2, 297),
+                             (6, 3, 10**5)):
+            verify_conjecture(generate(f"complete({n})"), r, budget=budget)
+        # K5 is not certified; K6 is, but not within 297 nodes (its
+        # search then ends undecided); r = 3 is out of the bound's reach
+        assert calls == [(5, 2, 10**5), (6, 2, 297), (6, 3, 10**5)]
+
     def test_flower_j7_minus_a_vertex_holds(self):
         # KG(J7 - v, 13K2): 720 vertices, 4,192 edges.  DSATUR starts
         # from a 4-colouring and soon meets a 3-colouring; it must then
@@ -307,6 +331,26 @@ class TestSelfCheck:
         with pytest.raises(verifier.SelfCheckError, match="at least 4"):
             verify_conjecture(generate("cycle(5)"), 2)
 
+    def test_coloring_below_the_bound_raises(self, monkeypatch):
+        from mkg import Coloring
+        import mkg.verifier as verifier
+
+        # KG(K6, 2K2) is certified chi >= rhs = 10; a 9-coloring (the
+        # theorem's with its last class merged into the first) refutes
+        # that, and no verdict may rest on it
+        real = verifier.greedy_ex_coloring
+
+        def merged(kg, cert):
+            col = real(kg, cert)
+            top = col.k - 1
+            return Coloring(tuple(0 if c == top else c for c in col.colors),
+                            top)
+
+        monkeypatch.setattr(verifier, "greedy_ex_coloring", merged)
+        with pytest.raises(verifier.SelfCheckError,
+                           match="9-coloring .* refutes the star-triangle"):
+            verify_conjecture(generate("complete(6)"), 2)
+
     def test_bad_ex_certificate_raises(self, monkeypatch):
         from mkg import ExtremalCertificate
         import mkg.verifier as verifier
@@ -358,6 +402,26 @@ class TestJson:
                                match="not a ConjectureReport line"):
                 report_from_json(line)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("graph6", 3), ("n", True), ("m", None), ("r", "2"),
+        ("num_r_matchings", 1.0), ("kneser_vertices", False),
+        ("kneser_edges", None), ("chromatic_number", "3"),
+        ("ex_value", 2.5), ("rhs", [3]), ("verdict", "maybe"),
+        ("is_snark", 0), ("certificates", [])])
+    def test_rejects_bad_field(self, field, bad):
+        d = json.loads(report_to_json(verify_conjecture(generate("cycle(5)"),
+                                                        2)))
+        d[field] = bad
+        with pytest.raises(ValueError, match=f"field {field} is"):
+            report_from_json(json.dumps(d))
+
+    def test_rejects_all_null_and_all_true(self):
+        # the right keys alone do not make a report
+        for value in (None, True):
+            line = json.dumps(dict.fromkeys(ConjectureReport._fields, value))
+            with pytest.raises(ValueError, match="field graph6 is"):
+                report_from_json(line)
+
     def test_scan_error_json(self):
         assert (scan_error_to_json(ScanError(7, "bad byte"))
                 == '{"line":7,"error":"bad byte"}')
@@ -384,14 +448,14 @@ def test_counterexample_certificates_revalidate():
 # sha256 of the report_to_json lines of _golden_reports, one per line.
 # Any change to a report byte on this corpus changes it, so a refactor
 # must keep it; change it only with an intended change of report content.
-GOLDEN_SHA256 = ("0538d52ac25cfa2b74789c0b6bf0e22b"
-                 "6dd8362a96d4baf878ec93670e7638bc")
+GOLDEN_SHA256 = ("9e8ee7defc2907f60f5e6a613562f47f"
+                 "1ee209e93aaa33210d9089f24f993fe5")
 
 
 def _golden_reports():
     """The 120 reports of a corpus that runs in a few seconds:
     snark and cubic bridgeless hosts at half-order, every 20th host of
-    connected_n7.g6 at r = 2 and r = 3, and KG(K6, 2K2), which the cover
+    connected_n7.g6 at r = 2 and r = 3, and KG(K7, 3K2), which the cover
     engine solves with the default budget and leaves undecided with 50
     nodes.  flower_j5 is pinned on its own, in
     test_flower_j5_report_bytes."""
@@ -401,9 +465,9 @@ def _golden_reports():
     hosts = (FIXTURES / "connected_n7.g6").read_text().splitlines()[::20]
     for r in (2, 3):
         yield from scan_lines(hosts, r)
-    k6 = generate("complete(6)")
-    yield verify_conjecture(k6, 2)
-    yield verify_conjecture(k6, 2, budget=50)
+    k7 = generate("complete(7)")
+    yield verify_conjecture(k7, 3)
+    yield verify_conjecture(k7, 3, budget=50)
 
 
 def test_golden_report_bytes(monkeypatch):
@@ -420,7 +484,7 @@ def test_golden_report_bytes(monkeypatch):
     reports = list(_golden_reports())
     assert [rep.verdict for rep in reports[-2:]] == [VERDICT_HOLDS,
                                                      VERDICT_UNDECIDED]
-    assert cover_runs.count(45) >= 2  # KG(K6, 2K2) has 45 vertices
+    assert cover_runs.count(105) >= 2  # KG(K7, 3K2) has 105 vertices
     text = "".join(report_to_json(rep) + "\n" for rep in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
 
