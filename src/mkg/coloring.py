@@ -1,34 +1,21 @@
 """Exact chromatic number of derived Kneser graphs.
 
-Two complete search engines sit behind chromatic_number:
-
-* DSATUR-ordered branch and bound with a clique lower bound, the default.
-  Tie-breaks are fixed (highest saturation, then highest degree, then
-  lowest vertex index) so search traces are reproducible.  Its first
-  leaf, the one-pass DSATUR coloring, is the upper bound both engines
-  start from.  It returns at a node that uses as many colors as the
-  incumbent: the count never falls along a branch.
-* a set-cover branch and bound over all maximal independent sets, used
-  for large dense inputs where DSATUR crawls.  Dense matching Kneser
-  graphs have few maximal independent sets (intersecting families), so
-  covering V by them is the cheaper formulation by orders of magnitude.
-
-Both are exact and both respect the same node budget; the test suite
-cross-checks them against each other, against brute force and against
-list-based twins that must visit the same nodes in the same order.  A
-blown budget raises BudgetExhausted rather than ever returning a guess.
+chromatic_number runs one complete search: a DSATUR-ordered branch and
+bound with a clique lower bound.  Tie-breaks are fixed (highest
+saturation, then highest degree, then lowest vertex index) so search
+traces are reproducible.  Its first leaf, the one-pass DSATUR coloring,
+is the upper bound the search starts from.  It returns at a node that
+uses as many colors as the incumbent: the count never falls along a
+branch.  The test suite checks it against brute force, against pinned
+chromatic numbers and against a list-based twin that must visit the
+same nodes in the same order.  A blown node budget raises
+BudgetExhausted rather than ever returning a guess.
 
 Each search node costs a few bitmask operations, not a pass over the
-vertices.  DSATUR relabels the vertices by degree (highest first, then
-index), keeps one bitmask of uncolored vertices per saturation level and
-one bitmask per color of the uncolored vertices next to that color; its
-next vertex is the lowest bit of the highest nonempty level.  The cover
-search keeps a second uncovered bitmask relabelled by rarity, so the
-rarest uncovered vertex is its lowest bit.  It decides each child in its
-parent's loop (count, leaf, memo, alpha and clique bounds), so only the
-children it expands cost a call, and it carries the greedy clique bound
-down: a child reuses the prefix of its parent's clique that the chosen
-set does not meet and grows only the rest.
+vertices.  The search relabels the vertices by degree (highest first,
+then index), keeps one bitmask of uncolored vertices per saturation
+level and one bitmask per color of the uncolored vertices next to that
+color; its next vertex is the lowest bit of the highest nonempty level.
 
 star_triangle_bound proves chi(KG(G, 2K2)) >= |E| - ex(G, 2K2) by
 counting star and triangle color classes, which decides r = 2 on most
@@ -46,12 +33,6 @@ from .kneser import KneserGraph
 
 DEFAULT_BUDGET = 10_000_000
 
-# dispatch to the cover engine above this size and density
-_COVER_MIN_N = 30
-_COVER_DENSITY_NUM = 11  # density threshold 11/20 = 0.55
-_COVER_DENSITY_DEN = 20
-_MIS_CAP = 100_000  # bail out to DSATUR if the MIS family explodes
-_MEMO_CAP = 1_500_000
 _CLIQUE_CAP = 8  # the lower-bound clique search looks no further
 _CLIQUE_NODES = 50_000
 _STAR_TRIANGLE_NODES = 1_000_000  # about a second
@@ -83,10 +64,6 @@ class InvalidCertificateError(ValueError):
         super().__init__(
             f"extremal certificate contains the r-matching {matching}")
         self.matching = matching
-
-
-class _MisOverflow(Exception):
-    pass
 
 
 class _SearchCapped(Exception):
@@ -166,7 +143,7 @@ def _dsatur_bnb(masks, n, clique, ub0, cols0, budget, first=False):
     With first set the search stops at its first leaf.  Started with no
     clique and ub0 = n + 1, every vertex there takes its lowest free
     color, so that leaf is the one-pass DSATUR coloring: the upper bound
-    and the incumbent of both engines.
+    and the incumbent of the full search.
 
     The search runs on a relabelled copy of the graph, vertices sorted
     by degree (highest first) and then index.  level[s] is the bitmask
@@ -270,196 +247,19 @@ def _dsatur_bnb(masks, n, clique, ub0, cols0, budget, first=False):
     return best_k, best_cols
 
 
-def _maximal_independent_sets(masks, n):
-    """All maximal independent sets as vertex bitmasks (Bron-Kerbosch
-    with pivoting on the complement)."""
-    full = (1 << n) - 1
-    cmask = [full & ~(masks[v] | (1 << v)) for v in range(n)]
-    out = []
-
-    def bk(r, p, x):
-        if p == 0 and x == 0:
-            out.append(r)
-            if len(out) > _MIS_CAP:
-                raise _MisOverflow
-            return
-        # pivot: candidate from p|x with the most neighbors in p (this walk
-        # and the one below run per node, where inline beat bit_indices).
-        # No count exceeds |p|, so the walk stops at the first candidate
-        # that reaches it; ties keep the first anyway
-        pu, best = -1, -1
-        top = p.bit_count()
-        rest = p | x
-        while rest:
-            bit = rest & -rest
-            u = bit.bit_length() - 1
-            rest ^= bit
-            cnt = (p & cmask[u]).bit_count()
-            if cnt > best:
-                best = cnt
-                pu = u
-                if cnt == top:
-                    break
-        ext = p & ~cmask[pu]
-        while ext:
-            bit = ext & -ext
-            v = bit.bit_length() - 1
-            ext ^= bit
-            bk(r | bit, p & cmask[v], x & cmask[v])
-            p ^= bit
-            x |= bit
-
-    allow_recursion(n)
-    bk(0, full, 0)
-    return out
-
-
-def _cover_bnb(masks, n, lb, ub0, cols0, budget):
-    """Minimum cover of V by maximal independent sets == chi.
-
-    Branch on the uncovered vertex that appears in the fewest sets;
-    candidates ordered by coverage of what remains, ties to the lower set
-    index.  A dominance memo on the uncovered bitmask (keyed to the best
-    depth that reached it) plus the alpha bound and a greedy clique bound
-    on the uncovered subgraph do the heavy lifting.  Returns (k, colors);
-    raises _MisOverflow if the MIS family is too large to enumerate
-    (caller falls back to DSATUR).
-
-    Each child is decided in its parent's loop: the parent counts it,
-    records it if it is a leaf, and applies the memo and both bounds, and
-    only a child that passes them all costs a call.  The root is decided
-    the same way, as the child of a virtual parent that chose an empty
-    set.  The greedy clique (lowest vertex first) is carried down: an
-    independent set meets it in at most one vertex, so a child keeps its
-    parent's clique up to that vertex and grows the rest again from the
-    candidate mask stored there.
-    """
-    sets = _maximal_independent_sets(masks, n)
-    alpha = max(s.bit_count() for s in sets)
-    covers = [[] for _ in range(n)]
-    for idx, s in enumerate(sets):
-        for v in bit_indices(s):
-            covers[v].append(idx)
-    # a second copy of every set, relabelled by rarity (fewest sets
-    # first, then index), makes the rarest uncovered vertex a lowest bit;
-    # the sets are sparse, so they are relabelled bit by bit, inline:
-    # _relabel's one string per row measured several times slower here
-    rarity = sorted(range(n), key=lambda v: (len(covers[v]), v))
-    rank = [0] * n
-    for i, v in enumerate(rarity):
-        rank[v] = i
-    rsets = []
-    for s in sets:
-        rs = 0
-        rest = s
-        while rest:
-            bit = rest & -rest
-            rs |= 1 << rank[bit.bit_length() - 1]
-            rest ^= bit
-        rsets.append(rs)
-
-    full = (1 << n) - 1
-    # what each set leaves uncovered, in both labellings; the last entry,
-    # an empty set, is the virtual parent's choice that reaches the root
-    keep = [full ^ s for s in sets] + [full]
-    rkeep = [full ^ rs for rs in rsets] + [full]
-    root = len(sets)
-    best_k = ub0
-    best_sets = None
-    # path[d] is the set chosen to reach depth d (path[0] goes unread)
-    path = [root] * (ub0 + 1)
-    seen = {}
-    unseen = ub0 + 1  # deeper than any node, the memo's default
-    nodes = 0
-
-    def expand(kids, depth, runc, qmask, cs):
-        """Decide each child (uncovered count, set index, uncovered mask)
-        of kids, in that order, at the given depth, and expand those that
-        pass.  runc is the parent's uncovered mask relabelled by rarity.
-        qmask is the vertex bitmask of the parent's greedy clique, and for
-        any child, cs[j] & child is the candidate mask whose lowest bit is
-        the clique's j-th vertex; so cs[-1] & child is 0, except at the
-        root, whose virtual parent has no clique and cs = [full]."""
-        nonlocal best_k, best_sets, nodes
-        for cnt, i, child in kids:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted(lb, best_k, budget)
-            if not child:
-                if depth < best_k:
-                    best_k = depth
-                    path[depth] = i
-                    best_sets = path[1:depth + 1]
-            elif seen.get(child, unseen) > depth:
-                if len(seen) < _MEMO_CAP:
-                    seen[child] = depth
-                # every set covers at most alpha vertices, and every
-                # vertex of a clique in the uncovered subgraph needs its
-                # own set; the clique is grown no further than room
-                room = best_k - depth
-                if cnt <= (room - 1) * alpha:
-                    # the set meets the parent's clique in at most its
-                    # hit vertex; the child keeps the clique below it
-                    hit = qmask ^ (qmask & child)
-                    size = j = (qmask & (hit - 1)).bit_count()
-                    cand = cs[j] & child
-                    # most children are pruned here, so this walk only
-                    # counts; an expanded child records its clique below
-                    while cand and size < room:
-                        cand &= masks[(cand & -cand).bit_length() - 1]
-                        size += 1
-                    if size < room:
-                        # a child that misses the clique keeps it whole
-                        cq, ccs = qmask, cs
-                        if size > j or hit:
-                            cq &= hit - 1
-                            ccs = cs[:j + 1]
-                            cand = cs[j] & child
-                            while cand:
-                                bit = cand & -cand
-                                cq |= bit
-                                cand &= masks[bit.bit_length() - 1]
-                                ccs.append(cand)
-                        path[depth] = i
-                        crunc = runc & rkeep[i]
-                        v = rarity[(crunc & -crunc).bit_length() - 1]
-                        # fewest left uncovered first, ties to the lower
-                        # set index; the masks are never compared
-                        expand(sorted([((c := child & keep[k]).bit_count(),
-                                        k, c) for k in covers[v]]),
-                               depth + 1, crunc, cq, ccs)
-            if best_k == lb:
-                return
-
-    allow_recursion(ub0)
-    try:
-        expand([(n, root, full)], 0, full, 0, [full])
-    finally:
-        # expand reaches itself through its closure, so the memo, by far the
-        # largest local, would otherwise live on until a cyclic GC pass
-        seen.clear()
-    if best_sets is None:
-        return best_k, list(cols0)
-    colors = [-1] * n
-    for ci, si in enumerate(best_sets):
-        for w in bit_indices(sets[si]):
-            if colors[w] == -1:
-                colors[w] = ci
-    # a minimum cover leaves no set without a private vertex, so every
-    # color index is used and no compaction is needed
-    return best_k, colors
-
-
 def chromatic_number(kg, budget: int = DEFAULT_BUDGET):
     """Exact chi with a witnessing Coloring, as (chi, Coloring).
 
-    Reads kg.n, kg.m and the adjacency bitmasks kg.rows, so a KneserGraph
-    and a plain Graph are both accepted; a KneserGraph's vertices and r
-    also bound its lower-bound clique search.  Conventions: the null graph
-    has chi 0, a nonempty edgeless graph has chi 1 (the counterexample
-    arithmetic depends on the latter).  Raises BudgetExhausted, with the
-    best bounds found, if the search exceeds the node budget, a count
-    >= 0 (graph_core.check_count).
+    The clique bound and the first DSATUR leaf come first; when they
+    differ, the DSATUR branch and bound, with the clique colored up
+    front, closes the gap.  Reads kg.n, kg.m and the adjacency bitmasks
+    kg.rows, so a KneserGraph and a plain Graph are both accepted; a
+    KneserGraph's vertices and r also bound its lower-bound clique
+    search.  Conventions: the null graph has chi 0, a nonempty edgeless
+    graph has chi 1 (the counterexample arithmetic depends on the
+    latter).  Raises BudgetExhausted, with the best bounds found, if the
+    search exceeds the node budget, a count >= 0
+    (graph_core.check_count).
     """
     check_count(budget, 0, "budget")
     n, m, masks = kg.n, kg.m, kg.rows
@@ -473,14 +273,6 @@ def chromatic_number(kg, budget: int = DEFAULT_BUDGET):
     ub, cols0 = _dsatur_bnb(masks, n, [], n + 1, [], n, first=True)
     if lb >= ub:
         return ub, Coloring(tuple(cols0), ub)
-    dense = (n >= _COVER_MIN_N and
-             2 * m * _COVER_DENSITY_DEN >= _COVER_DENSITY_NUM * n * (n - 1))
-    if dense:
-        try:
-            k, cols = _cover_bnb(masks, n, lb, ub, cols0, budget)
-            return k, Coloring(tuple(cols), k)
-        except _MisOverflow:
-            pass
     k, cols = _dsatur_bnb(masks, n, clique, ub, cols0, budget)
     return k, Coloring(tuple(cols), k)
 

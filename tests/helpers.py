@@ -438,13 +438,10 @@ def ref_chromatic_index(g: Graph) -> EdgeColoringResult:
     return EdgeColoringResult(delta + 1, tuple(col), "two")
 
 
-# Reference twins of the two chi search engines in mkg.coloring, as they
-# were written before those engines moved to per-color bitmasks: plain
-# lists, an O(n) scan for every choice, and a full greedy clique at every
-# cover node.  They must visit the same nodes in the same order, so the
+# Reference twin of the chi search in mkg.coloring, as it was written
+# before it moved to per-color bitmasks: plain lists and an O(n) scan for
+# every choice.  It must visit the same nodes in the same order, so the
 # tests compare results and budget cut-offs exactly.
-
-REF_MEMO_CAP = 1_500_000
 
 
 def ref_dsatur_bnb(masks, n, clique, ub0, cols0, budget, first=False):
@@ -507,94 +504,3 @@ def ref_dsatur_bnb(masks, n, clique, ub0, cols0, budget, first=False):
 
     rec(uncolored, len(clique))
     return best_k, best_cols
-
-
-def ref_maximal_independent_sets(masks, n):
-    """All maximal independent sets as bitmasks, in the order of
-    Bron-Kerbosch with pivoting on the complement graph."""
-    full = (1 << n) - 1
-    cmask = [full & ~(masks[v] | (1 << v)) for v in range(n)]
-    out = []
-
-    def bk(r, p, x):
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pu, best = -1, -1
-        for u in range(n):
-            if ((p | x) >> u) & 1 and (p & cmask[u]).bit_count() > best:
-                best = (p & cmask[u]).bit_count()
-                pu = u
-        ext = p & ~cmask[pu]
-        for v in range(n):
-            if (ext >> v) & 1:
-                bk(r | (1 << v), p & cmask[v], x & cmask[v])
-                p &= ~(1 << v)
-                x |= 1 << v
-
-    bk(0, full, 0)
-    return out
-
-
-def ref_cover_bnb(masks, n, lb, ub0, cols0, budget):
-    """Minimum cover by maximal independent sets, branching on the
-    rarest uncovered vertex; the same (k, colors) or BudgetExhausted as
-    mkg.coloring._cover_bnb."""
-    sets = ref_maximal_independent_sets(masks, n)
-    alpha = max(s.bit_count() for s in sets)
-    covers = [[i for i, s in enumerate(sets) if (s >> v) & 1]
-              for v in range(n)]
-    rarity = sorted(range(n), key=lambda v: (len(covers[v]), v))
-
-    def clique_lb(unc):
-        size = 0
-        cand = unc
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            size += 1
-            cand &= masks[v]
-        return size
-
-    best_k = ub0
-    best_sets = None
-    chosen = []
-    seen = {}
-    nodes = 0
-
-    def rec(unc, depth):
-        nonlocal best_k, best_sets, nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExhausted(lb, best_k, budget)
-        if unc == 0:
-            if depth < best_k:
-                best_k = depth
-                best_sets = list(chosen)
-            return
-        prev = seen.get(unc)
-        if prev is not None and prev <= depth:
-            return
-        if len(seen) < REF_MEMO_CAP:
-            seen[unc] = depth
-        bound = max(-(-unc.bit_count() // alpha), clique_lb(unc))
-        if depth + bound >= best_k:
-            return
-        v = next(v for v in rarity if (unc >> v) & 1)
-        for i in sorted(covers[v],
-                        key=lambda i: (-(sets[i] & unc).bit_count(), i)):
-            chosen.append(i)
-            rec(unc & ~sets[i], depth + 1)
-            chosen.pop()
-            if best_k == lb:
-                return
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
-    rec((1 << n) - 1, 0)
-    if best_sets is None:
-        return best_k, list(cols0)
-    colors = [-1] * n
-    for ci, si in enumerate(best_sets):
-        for w in range(n):
-            if (sets[si] >> w) & 1 and colors[w] == -1:
-                colors[w] = ci
-    return best_k, colors

@@ -1,15 +1,12 @@
-import gc
 import hashlib
 import random
 import sys
-import types
 
 import pytest
 
 from helpers import (bad_counts, brute_chromatic, brute_clique_number,
                      brute_star_triangle_excess, load_fixture, random_graph,
-                     ref_cover_bnb, ref_dsatur_bnb,
-                     ref_maximal_independent_sets)
+                     ref_dsatur_bnb)
 from mkg import (
     BudgetExhausted,
     Coloring,
@@ -27,10 +24,8 @@ from mkg.coloring import (
     _CLIQUE_CAP,
     _CLIQUE_NODES,
     _clique_supports,
-    _cover_bnb,
     _dsatur_bnb,
     _lower_bound_clique,
-    _maximal_independent_sets,
 )
 from mkg.extremal import ExtremalCertificate, ex_exact
 from mkg.matchings import has_matching_of_size
@@ -186,65 +181,26 @@ class TestUpperBound:
             "ec0174e981ca77de8e5dce47fcf9679559dc378f2e068ef8a64da36a2c43e31d")
 
 
-class TestEnginesAgree:
-    def test_dsatur_vs_cover(self):
+class TestPinnedChi:
+    # chi of random graphs too large for brute_chromatic, pinned while a
+    # second exact engine (a cover by maximal independent sets) still
+    # agreed with the DSATUR search on every one of them
+    def test_random_graphs(self):
         rng = random.Random(31337)
-        checked = 0
-        while checked < 25:
-            n = rng.randrange(10, 22)
-            g = random_graph(rng, n, 0.4 + 0.5 * rng.random())
-            if g.m == 0:
-                continue
-            checked += 1
-            masks = g.rows
-            clique = _lower_bound_clique(masks, n, _singletons(n), 1)
-            ub, cols0 = _first_leaf(masks, n)
-            lb = len(clique)
-            k1, cols1 = _dsatur_bnb(masks, n, clique, ub, cols0, 10**7)
-            k2, cols2 = _cover_bnb(masks, n, lb, ub, cols0, 10**7)
-            assert k1 == k2
-            assert validate_coloring(g, Coloring(tuple(cols2), k2))
-
-    def test_dense_dispatch_still_exact(self):
-        # above the dispatch threshold both engines must agree
-        rng = random.Random(555)
-        g = random_graph(rng, 32, 0.6)
-        chi, col = chromatic_number(g)  # routed to the cover engine
-        masks = g.rows
-        clique = _lower_bound_clique(masks, g.n, _singletons(g.n), 1)
-        ub, cols0 = _first_leaf(masks, g.n)
-        k, _ = _dsatur_bnb(masks, g.n, clique, ub, cols0, 10**8)
-        assert chi == k
-        assert validate_coloring(g, col)
-
-    def test_mis_overflow_falls_back_to_dsatur(self, monkeypatch):
-        # a maximal independent set family above _MIS_CAP makes the cover
-        # engine give up; chi then comes from the DSATUR search, exactly
-        g = random_graph(random.Random(555), 32, 0.6)
-        chi, _ = chromatic_number(g)
-        cover_bnb, dsatur_bnb = coloring._cover_bnb, coloring._dsatur_bnb
-        overflows = []
-        dsatur_runs = []
-
-        def cover_spy(*args):
-            try:
-                return cover_bnb(*args)
-            except coloring._MisOverflow:
-                overflows.append(args[1])
-                raise
-
-        def dsatur_spy(*args, **kwargs):
-            dsatur_runs.append(kwargs.get("first", False))
-            return dsatur_bnb(*args, **kwargs)
-
-        monkeypatch.setattr(coloring, "_MIS_CAP", 10)
-        monkeypatch.setattr(coloring, "_cover_bnb", cover_spy)
-        monkeypatch.setattr(coloring, "_dsatur_bnb", dsatur_spy)
-        capped, col = chromatic_number(g)
-        assert overflows == [32]
-        assert dsatur_runs == [True, False]  # the upper bound, then the search
-        assert capped == chi
-        assert validate_coloring(g, col)
+        graphs = []
+        while len(graphs) < 25:
+            g = random_graph(rng, rng.randrange(10, 22),
+                             0.4 + 0.5 * rng.random())
+            if g.m:
+                graphs.append(g)
+        graphs.append(random_graph(random.Random(555), 32, 0.6))
+        got = []
+        for g in graphs:
+            chi, col = chromatic_number(g)
+            assert validate_coloring(g, col) and col.k == chi
+            got.append(chi)
+        assert got == [8, 9, 5, 8, 9, 7, 8, 8, 5, 8, 7, 6, 5, 7, 6, 5, 3,
+                       4, 8, 6, 4, 7, 3, 8, 10, 8]
 
 
 def _outcome(engine, *args):
@@ -257,7 +213,7 @@ def _outcome(engine, *args):
 
 
 class TestSlowTwin:
-    # both engines against their list-based twins in tests/helpers.py:
+    # the DSATUR search against its list-based twin in tests/helpers.py:
     # the same nodes in the same order give the same coloring, or run
     # out of budget at the same node with the same bounds.  Each search
     # starts from the first-leaf upper bound, as in chromatic_number,
@@ -300,110 +256,15 @@ class TestSlowTwin:
         assert outcomes.count("exhausted") >= 100
         assert outcomes.count("done") >= 200
 
-    def test_cover_matches_twin(self):
-        outcomes = []
-        for g in self._instances():
-            for masks, n, clique, ub, cols0 in self._starts(g):
-                for budget in self.BUDGETS:
-                    args = (masks, n, len(clique), ub, cols0, budget)
-                    got = _outcome(_cover_bnb, *args)
-                    assert got == _outcome(ref_cover_bnb, *args), (
-                        n, ub, budget)
-                    outcomes.append(got[0])
-        assert outcomes.count("exhausted") >= 50
-        assert outcomes.count("done") >= 100
-
-
-class TestCoverTwinDetail:
-    # the cover engine decides each child in its parent's loop and
-    # carries the greedy clique down; its twin does neither, so the two
-    # must agree at every budget near a node count, and the sets they
-    # branch over must come in the same order
-
-    def test_mis_order_matches_twin(self):
-        # the pivot walk stops early; the sets and their order must not
-        # change, as the cover search branches in that order
-        graphs = list(TestSlowTwin()._instances())
-        graphs += [build_matching_kneser(generate(name), r)
-                   for name, r in (("complete(7)", 2), ("complete(8)", 2),
-                                   ("petersen", 2), ("complete(7)", 3))]
-        graphs += [build_kneser(8, 2), build_kneser(8, 3)]
-        for g in graphs:
-            got = _maximal_independent_sets(g.rows, g.n)
-            assert got == ref_maximal_independent_sets(g.rows, g.n), g.n
-
-    @staticmethod
-    def _start(kg):
-        masks, n = kg.rows, kg.n
-        lb = len(_lower_bound_clique(masks, n, *_clique_supports(kg)))
-        ub, cols0 = _first_leaf(masks, n)
-        alpha = max(s.bit_count()
-                    for s in _maximal_independent_sets(masks, n))
-        return masks, n, lb, ub, cols0, -(-n // alpha)
-
-    def _agree(self, masks, n, lb, ub, cols0, budget):
-        args = (masks, n, lb, ub, cols0, budget)
-        got = _outcome(_cover_bnb, *args)
-        assert got == _outcome(ref_cover_bnb, *args), (n, lb, ub, budget)
-        return got
-
-    def test_every_budget_on_k6(self):
-        # KG(K6, 2K2), 45 vertices: every budget from the root to node
-        # 300, and every budget around the end of the search (node 682
-        # from the first-leaf bound, 694 from n + 1)
-        masks, n, lb, ub, cols0, floor = self._start(
-            build_matching_kneser(generate("complete(6)"), 2))
-        assert n == 45 and lb < floor < ub
-        budgets = [*range(301), *range(670, 701)]
-        for start_ub, start_cols, total in ((ub, cols0, 682),
-                                            (n + 1, [], 694)):
-            kinds = [self._agree(masks, n, lb, start_ub, start_cols,
-                                 budget)[0] for budget in budgets]
-            # exhausted below the node count, done from it on
-            assert kinds == ["exhausted" if budget < total else "done"
-                             for budget in budgets]
-
-    def test_root_pruned_at_once(self):
-        # with ub0 <= ceil(n / alpha) the alpha bound prunes the root:
-        # one node, and the incumbent is returned as it came
-        for name in ("complete(6)", "complete(8)"):
-            masks, n, lb, ub, cols0, floor = self._start(
-                build_matching_kneser(generate(name), 2))
-            for budget in (0, 1, 2):
-                got = self._agree(masks, n, lb, floor, cols0, budget)
-                if budget == 0:
-                    assert got == ("exhausted", lb, floor)
-                else:
-                    assert got == ("done", floor, cols0)
-
-    def test_incumbent_at_the_lower_bound(self):
-        # chi(KG(K6, 2K2)) = 10: started with lb = ub0 = 10 the root is
-        # still expanded, and the search stops after the first child of
-        # each node, as the check against lb follows every child
-        masks, n, _, _, cols0, _ = self._start(
-            build_matching_kneser(generate("complete(6)"), 2))
-        kinds = [self._agree(masks, n, 10, 10, cols0, budget)[0]
-                 for budget in range(12)]
-        # the root and a chain of first children, 8 nodes
-        assert kinds == ["exhausted"] * 8 + ["done"] * 4
-
-    def test_big_budgets_on_k8(self):
-        masks, n, lb, ub, cols0, _ = self._start(
-            build_matching_kneser(generate("complete(8)"), 2))
-        assert n == 210
-        for start_ub, start_cols in ((ub, cols0), (n + 1, [])):
-            for budget in (10**3, 10**4):
-                got = self._agree(masks, n, lb, start_ub, start_cols, budget)
-                assert got[0] == "exhausted"
-
 
 class TestSearchFingerprint:
     def test_outcomes_pinned(self):
-        # chi or the exhaustion bounds at three budgets, on a graph that
-        # the cover engine takes (KG(K8, 2K2), 210 vertices) and one that
-        # DSATUR takes (Petersen at r = 3, 145 vertices).  DSATUR returns
-        # at a node whose colour count has reached the incumbent's, so
-        # Petersen exhausts budgets 10^3 and 10^4 at [5, 9], not [5, 10]
+        # chi or the exhaustion bounds at three budgets, on a dense graph
+        # (KG(K8, 2K2), 210 vertices: [14, 24], [14, 24], [14, 22]) and a
+        # sparser one (Petersen at r = 3, 145 vertices).  The search
+        # returns at a node whose colour count has reached the
+        # incumbent's, so Petersen exhausts budgets 10^3 and 10^4 at
+        # [5, 9], not [5, 10]
         out = []
         for name, r in (("complete(8)", 2), ("petersen", 3)):
             kg = build_matching_kneser(generate(name), r)
@@ -415,7 +276,7 @@ class TestSearchFingerprint:
                     out.append(("exhausted", err.lower_bound,
                                 err.upper_bound))
         assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-            "f837a45be48c65042ede6201a80a572e9e45182d408a6cc5f76ee8144d2f6d7d")
+            "16659dcd826a7b7914831f7e2246e5e19a671900420c53021a8fe60ebb94f52f")
 
 
 class TestBudget:
@@ -435,37 +296,6 @@ class TestBudget:
     def test_big_budget_fine(self):
         chi, _ = chromatic_number(generate("petersen"), budget=10**6)
         assert chi == 3
-
-    def test_cover_memo_released_when_the_budget_runs_out(self):
-        # the cover search's rec reaches itself through its closure, so
-        # its locals are freed only by a cyclic GC pass; the memo, the
-        # bulk of them, must be emptied at once or it lingers into the
-        # next instance of a scan and raises its peak memory
-        kg = build_matching_kneser(generate("complete(6)"), 2)
-        gc.collect()
-        gc.disable()
-        try:
-            try:
-                chromatic_number(kg, budget=50)
-            except BudgetExhausted:
-                pass  # not kept: its traceback would keep the memo alive
-            else:
-                pytest.fail("the budget did not run out")
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            gc.collect()
-            # an int-keyed dict is not tracked by the GC itself, so look
-            # for it in the closure cells that the GC found unreachable
-            memos = []
-            for cell in gc.garbage:
-                if isinstance(cell, types.CellType):
-                    held = cell.cell_contents
-                    if isinstance(held, dict) and held:
-                        memos.append(held)
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            gc.enable()
-        assert memos == []
 
 
 class TestGreedyExColoring:
