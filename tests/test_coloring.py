@@ -181,26 +181,36 @@ class TestUpperBound:
             "ec0174e981ca77de8e5dce47fcf9679559dc378f2e068ef8a64da36a2c43e31d")
 
 
-class TestPinnedChi:
+class TestEnginesAgree:
     # chi of random graphs too large for brute_chromatic, pinned while a
     # second exact engine (a cover by maximal independent sets) still
     # agreed with the DSATUR search on every one of them
-    def test_random_graphs(self):
+    def test_dsatur_vs_cover(self):
         rng = random.Random(31337)
-        graphs = []
-        while len(graphs) < 25:
+        got = []
+        while len(got) < 25:
             g = random_graph(rng, rng.randrange(10, 22),
                              0.4 + 0.5 * rng.random())
-            if g.m:
-                graphs.append(g)
-        graphs.append(random_graph(random.Random(555), 32, 0.6))
-        got = []
-        for g in graphs:
+            if g.m == 0:
+                continue
             chi, col = chromatic_number(g)
             assert validate_coloring(g, col) and col.k == chi
             got.append(chi)
         assert got == [8, 9, 5, 8, 9, 7, 8, 8, 5, 8, 7, 6, 5, 7, 6, 5, 3,
-                       4, 8, 6, 4, 7, 3, 8, 10, 8]
+                       4, 8, 6, 4, 7, 3, 8, 10]
+
+    def test_dense_dispatch_still_exact(self):
+        # the dense graph that once went to the cover engine: chi is the
+        # pinned value, and a bare DSATUR search from the first leaf agrees
+        g = random_graph(random.Random(555), 32, 0.6)
+        chi, col = chromatic_number(g)
+        assert chi == 8
+        assert validate_coloring(g, col) and col.k == chi
+        masks = g.rows
+        clique = _lower_bound_clique(masks, g.n, *_clique_supports(g))
+        ub, cols0 = _first_leaf(masks, g.n)
+        k, _ = _dsatur_bnb(masks, g.n, clique, ub, cols0, 10**8)
+        assert k == chi
 
 
 def _outcome(engine, *args):
