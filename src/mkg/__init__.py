@@ -7,14 +7,12 @@ counterexamples.
 
 from .graph_core import (Graph, Graph6Error, bridges, complete, cycle,
                          disjoint_matching, flower, generalized_petersen,
-                         generate, is_connected, is_cubic, parse_graph6,
-                         petersen, star, write_graph6)
-from .matchings import (enumerate_matchings, enumerate_perfect_matchings,
-                        has_matching_of_size, matching_number,
-                        perfect_matchings_pairwise_intersect,
+                         is_connected, is_cubic, parse_graph6, petersen, star,
+                         write_graph6)
+from .matchings import (enumerate_matchings, has_matching_of_size,
                         schonberger_check)
 from .edge_coloring import EdgeColoringResult, chromatic_index, is_snark
-from .kneser import KneserGraph, build_kneser, build_matching_kneser, to_dot
+from .kneser import KneserGraph, build_matching_kneser, to_dot
 from .coloring import (BudgetExhausted, Coloring, DEFAULT_BUDGET,
                        InvalidCertificateError, chromatic_number,
                        greedy_ex_coloring, star_triangle_bound,
@@ -29,14 +27,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "Graph6Error", "parse_graph6", "write_graph6",
-    "generate", "petersen", "cycle", "complete", "star",
+    "petersen", "cycle", "complete", "star",
     "disjoint_matching", "flower", "generalized_petersen", "is_connected",
     "bridges", "is_cubic",
-    "enumerate_matchings", "enumerate_perfect_matchings",
-    "has_matching_of_size", "matching_number", "schonberger_check",
-    "perfect_matchings_pairwise_intersect",
+    "enumerate_matchings", "has_matching_of_size", "schonberger_check",
     "EdgeColoringResult", "chromatic_index", "is_snark",
-    "KneserGraph", "build_matching_kneser", "build_kneser", "to_dot",
+    "KneserGraph", "build_matching_kneser", "to_dot",
     "Coloring", "BudgetExhausted", "InvalidCertificateError",
     "DEFAULT_BUDGET", "chromatic_number", "greedy_ex_coloring",
     "star_triangle_bound", "validate_coloring",

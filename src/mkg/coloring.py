@@ -321,9 +321,10 @@ def star_triangle_bound(g, ex_value: int,
     The counts are held as three bitmasks, the edges with d = 0, 1 and
     2, so a node costs a few bitmask operations.  The search stops
     after budget nodes, or _STAR_TRIANGLE_NODES if fewer, and returns
-    False, which only withholds the bound.  budget is a count >= 0
-    (graph_core.check_count).
+    False, which only withholds the bound.  ex_value and budget are
+    counts >= 0 (graph_core.check_count).
     """
+    check_count(ex_value, 0, "ex_value")
     check_count(budget, 0, "budget")
     cap = min(budget, _STAR_TRIANGLE_NODES)
     m = g.m

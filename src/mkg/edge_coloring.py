@@ -129,7 +129,7 @@ def _three_edge_colorable(g: Graph, perfect_matchings=None) -> bool:
     even = partial(_leaves_even_two_factor, g)
     if perfect_matchings is not None:
         return any(map(even, perfect_matchings))
-    return _search(g, g.n // 2, None, even)
+    return _search(g, g.n // 2, even)
 
 
 def is_snark(g: Graph, perfect_matchings=None):

@@ -35,9 +35,9 @@ replaces the incumbent on a strict gain.  On a snark this is
 Schonberger's theorem at work: every two edges of a bridgeless cubic
 graph are missed by some perfect matching.
 
-validate_certificate re-checks that the kept set holds no r-matching
-with the matchings backtracker instead, a code path the branch and
-bound does not use.
+validate_certificate re-checks that the kept subgraph holds no
+r-matching with the matchings backtracker instead, a code path the
+branch and bound does not use.
 """
 
 from __future__ import annotations
@@ -272,14 +272,14 @@ def _degree_cap(deg: list[int], k: int) -> int:
 def validate_certificate(g: Graph, cert: ExtremalCertificate) -> bool:
     """Independent re-check: the kept subgraph really has nu <= r-1.
 
-    Runs the matchings backtracker over the certificate's edges, a
-    different code path from the blossom search used inside ex_exact.
-    Answers False, and never raises, for a malformed certificate: r, the
-    value and every edge index must pass graph_core.check_count, each
-    edge index must be below m, and the value must count the distinct
-    edges.
+    Runs the matchings backtracker on the subgraph of the certificate's
+    edges, a different code path from the blossom search used inside
+    ex_exact.  Answers False, and never raises, for a malformed
+    certificate: r, the value and every edge index must pass
+    graph_core.check_count, each edge index must be below m, and the
+    value must count the distinct edges.
     """
-    mask = 0
+    kept = set()
     try:
         check_count(cert.r, 1, "r")
         check_count(cert.value, 0, "value")
@@ -287,9 +287,10 @@ def validate_certificate(g: Graph, cert: ExtremalCertificate) -> bool:
             check_count(e, 0, "edge index")
             if e >= g.m:
                 return False
-            mask |= 1 << e
+            kept.add(e)
     except ValueError:
         return False
-    if cert.value != mask.bit_count():
+    if cert.value != len(kept):
         return False
-    return has_matching_of_size(g, cert.r, allowed=mask) is None
+    sub = Graph(g.n, [g.edges[e] for e in kept])
+    return has_matching_of_size(sub, cert.r) is None

@@ -16,7 +16,6 @@ in n + m.
 
 from __future__ import annotations
 
-import re
 import sys
 
 
@@ -47,9 +46,9 @@ def allow_recursion(depth: int) -> None:
 
 
 def check_count(value, floor: int, name: str) -> None:
-    """The one rule for a count argument (a vertex count, a matching
-    size r, a node budget, an edge index): raise ValueError unless value
-    is an int, not a bool, and at least floor."""
+    """The one rule for a count argument (a vertex count, an edge's end,
+    a matching size r, a node budget, an edge index): raise ValueError
+    unless value is an int, not a bool, and at least floor."""
     if isinstance(value, bool) or not isinstance(value, int) or value < floor:
         raise ValueError(f"expected an int {name} >= {floor}, got {value!r}")
 
@@ -76,9 +75,11 @@ class Graph:
         check_count(n, 0, "n")
         canon = []
         for u, v in edges:
+            check_count(u, 0, "vertex")
+            check_count(v, 0, "vertex")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
+            if u >= n or v >= n:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             canon.append((u, v) if u < v else (v, u))
         canon.sort()
@@ -251,41 +252,6 @@ def generalized_petersen(k: int, s: int) -> Graph:
     for i in range(k):
         edges += [(i, (i + 1) % k), (i, k + i), (k + i, k + (i + s) % k)]
     return Graph(2 * k, edges)
-
-
-# [0-9], not \d: \d also matches non-ASCII digits such as "٣"
-_GEN_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([0-9]+)\s*\))?\s*$")
-
-_GENERATORS = {
-    "petersen": (petersen, False),
-    "cycle": (cycle, True),
-    "complete": (complete, True),
-    "star": (star, True),
-    "disjoint_matching": (disjoint_matching, True),
-    "flower": (flower, True),
-}
-
-
-def generate(name: str) -> Graph:
-    """Build a named graph from a spec string.
-
-    Accepted forms: "petersen", "cycle(n)", "complete(n)", "star(k)",
-    "disjoint_matching(n)", "flower(k)".
-    """
-    match = _GEN_RE.match(name)
-    if not match:
-        raise ValueError(f"unrecognized generator spec: {name!r}")
-    kind, arg = match.group(1), match.group(2)
-    if kind not in _GENERATORS:
-        raise ValueError(f"unknown generator {kind!r}")
-    fn, wants_arg = _GENERATORS[kind]
-    if wants_arg:
-        if arg is None:
-            raise ValueError(f"{kind} requires an integer parameter")
-        return fn(int(arg))
-    if arg is not None:
-        raise ValueError(f"{kind} takes no parameter")
-    return fn()
 
 
 # ------------------------------------------------------------- predicates --

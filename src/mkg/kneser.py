@@ -1,20 +1,18 @@
-"""Matching Kneser graphs KG(G, rK2) and classical Kneser graphs KG(n, r).
+"""Matching Kneser graphs KG(G, rK2).
 
 Vertices of KG(G, rK2) are the r-matchings of G in lexicographic
 enumeration order; two are adjacent when their matchings are edge-
-disjoint (they may well share vertices).  KG(n, r) is built by an
-independent route, directly over r-subsets, so the stated isomorphism
-KG(nK2, rK2) = KG(n, r) can be cross-checked rather than assumed.  Both
-routes list their vertices in the same order, so the check is labelled
-equality: equal vertices and equal rows, with no vertex map to search.
+disjoint (they may well share vertices).  The test suite builds the
+classical KG(n, r) by an independent route, directly over r-subsets,
+so the stated isomorphism KG(nK2, rK2) = KG(n, r) is cross-checked
+rather than assumed, as labelled equality: equal vertices and rows.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple
 
-from .graph_core import Graph, bit_indices, check_count, disjoint_matching
+from .graph_core import Graph, bit_indices, check_count
 from .matchings import enumerate_matchings, holder_index
 
 
@@ -42,11 +40,6 @@ class KneserGraph(NamedTuple):
         return len(self.rows)
 
 
-def _from_rows(base: Graph, r: int, verts, rows: list[int]) -> KneserGraph:
-    m = sum(row.bit_count() for row in rows) // 2
-    return KneserGraph(base, r, tuple(verts), tuple(rows), m)
-
-
 def build_matching_kneser(g: Graph, r: int) -> KneserGraph:
     """KG(g, rK2) over all r-matchings of g.
 
@@ -67,33 +60,8 @@ def build_matching_kneser(g: Graph, r: int) -> KneserGraph:
         for e in mt:
             meets |= holders[e]
         rows.append(full & ~meets)
-    return _from_rows(g, r, verts, rows)
-
-
-def build_kneser(n: int, r: int) -> KneserGraph:
-    """Classical KG(n, r): r-subsets of {0..n-1}, adjacent when disjoint.
-
-    Encoded over the host nK2 so the result is directly comparable with
-    build_matching_kneser(disjoint_matching(n), r): subset element i
-    plays edge index i.  Built from combinations and pairwise
-    disjointness tests, not from the matching enumerator or the per-edge
-    masks, to keep the isomorphism check two-sided.  n < r gives a null
-    derived graph.
-    """
-    check_count(n, 1, "n")
-    check_count(r, 1, "r")
-    base = disjoint_matching(n)
-    subs = list(combinations(range(n), r))
-    masks = [sum(1 << x for x in s) for s in subs]
-    nv = len(subs)
-    rows = [0] * nv
-    for i in range(nv):
-        mi = masks[i]
-        for j in range(i + 1, nv):
-            if mi & masks[j] == 0:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return _from_rows(base, r, subs, rows)
+    m = sum(row.bit_count() for row in rows) // 2
+    return KneserGraph(g, r, tuple(verts), tuple(rows), m)
 
 
 def to_dot(kg: KneserGraph) -> str:

@@ -1,4 +1,4 @@
-"""Matchings: enumeration, exact maximum matching, perfect-matching checks.
+"""Matchings: enumeration, augmenting paths, perfect-matching checks.
 
 A matching is a set of pairwise vertex-disjoint edges, held as sorted
 edge indices into the host graph's canonical edge list.  Enumeration
@@ -13,9 +13,10 @@ in the order this search picks them, and the search meets the
 matchings in lexicographic order; at r = n/2 it looks one step ahead.
 It hands each one to a visit callback and stops when visit returns a
 true value, so a caller that wants the first matching with some
-property (is_snark's even 2-factor) never enumerates the rest.  The
-blossom search _augment grows a maximum matching one augmenting path
-at a time for matching_number and for ex_exact.
+property (is_snark's even 2-factor) never enumerates the rest.  A
+caller that wants the matchings of a subgraph builds that subgraph.
+The blossom search _augment grows a maximum matching one augmenting
+path at a time for ex_exact.
 """
 
 from __future__ import annotations
@@ -23,20 +24,19 @@ from __future__ import annotations
 from .graph_core import Graph, check_count
 
 
-def _search(g: Graph, r: int, allowed, visit) -> bool:
-    """Call visit on each r-matching of g among the allowed edges (an
-    edge bitmask, or None for all), in lexicographic order, until visit
-    returns a true value; return whether one did.
+def _search(g: Graph, r: int, visit) -> bool:
+    """Call visit on each r-matching of g, in lexicographic order, until
+    visit returns a true value; return whether one did.
 
     Each node takes the lowest vertex v that is neither covered nor
-    given up.  It first covers v with each allowed edge (v, w) to a
-    higher vertex w still free, in edge-index order, and then leaves v
+    given up.  It first covers v with each edge (v, w) to a higher
+    vertex w still free, in edge-index order, and then leaves v
     uncovered.  An r-matching leaves n - 2r vertices uncovered, so a
     branch may give up only that many (the slack); at r = n/2 a vertex
     with no free higher neighbour ends its branch at once, and so does
     covering v with (v, w) when it leaves a neighbour of v or w with no
-    free allowed neighbour (a look-ahead that cuts no matching; its
-    adjacency is built only at slack 0).
+    free neighbour (a look-ahead that cuts no matching; it reads
+    g.rows, and only at slack 0).
 
     The order is lexicographic: every vertex below v is decided, so the
     next edge of any matching below this node is the one at its lowest
@@ -54,17 +54,11 @@ def _search(g: Graph, r: int, allowed, visit) -> bool:
     if r == 0:
         return bool(visit(()))
     # up[v]: (edge index, bit of w, neighbours of v and w at slack 0)
-    # for the allowed edges (v, w), w > v
-    edges = [(e, v, w) for e, (v, w) in enumerate(g.edges)
-             if allowed is None or allowed >> e & 1]
-    nbr = [0] * g.n  # the allowed adjacency, read only at slack 0
-    if not slack:
-        for e, v, w in edges:
-            nbr[v] |= 1 << w
-            nbr[w] |= 1 << v
+    # for the edges (v, w), w > v
+    nbr = g.rows
     up = [[] for _ in range(g.n)]
-    for e, v, w in edges:
-        up[v].append((e, 1 << w, nbr[v] | nbr[w]))
+    for e, (v, w) in enumerate(g.edges):
+        up[v].append((e, 1 << w, 0 if slack else nbr[v] | nbr[w]))
     cur: list[int] = []
 
     def rec(decided: int, need: int, slack: int) -> bool:
@@ -100,25 +94,15 @@ def enumerate_matchings(g: Graph, r: int) -> list[tuple[int, ...]]:
     """All matchings of size exactly r, in lexicographic order; r=0
     yields exactly one empty matching, ()."""
     out: list[tuple[int, ...]] = []
-    _search(g, r, None, out.append)
+    _search(g, r, out.append)
     return out
 
 
-def has_matching_of_size(g: Graph, r: int, allowed=None):
-    """First r-matching of g using only allowed edges, or None.
-
-    allowed is None (all edges) or an int bitmask over the edge indices
-    0..m-1: anything check_count rejects as a count, or a mask with a
-    bit at m or above, raises ValueError.  The witness is the first
-    r-matching in enumeration order; validate_certificate leans on this
-    check.
-    """
-    if allowed is not None:
-        check_count(allowed, 0, "allowed")
-        if allowed >> g.m:
-            raise ValueError(f"allowed must be an edge bitmask below 2**{g.m}")
+def has_matching_of_size(g: Graph, r: int):
+    """First r-matching of g in enumeration order, or None.
+    validate_certificate leans on this check."""
     found: list[tuple[int, ...]] = []
-    _search(g, r, allowed, lambda mt: found.append(mt) or True)
+    _search(g, r, lambda mt: found.append(mt) or True)
     return found[0] if found else None
 
 
@@ -196,27 +180,6 @@ def _augment(n: int, rows: list[int], match: list[int], root: int) -> bool:
     return False
 
 
-def matching_number(g: Graph) -> int:
-    """Exact maximum matching size: one blossom search (_augment) from
-    each vertex still free, in vertex order; a vertex with no augmenting
-    path never gains one later, so one pass suffices.  The brute-force
-    oracle in the test suite pins this down on all small graphs.
-    """
-    n = g.n
-    match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            _augment(n, g.rows, match, v)
-    return sum(1 for v in range(n) if match[v] != -1) // 2
-
-
-def enumerate_perfect_matchings(g: Graph) -> list[tuple[int, ...]]:
-    """All perfect matchings; empty for odd order."""
-    if g.n % 2 == 1:
-        return []
-    return enumerate_matchings(g, g.n // 2)
-
-
 def holder_index(m: int, matchings) -> list[int]:
     """holders[e] for each of the m host edges: the bitmask of the listed
     matchings that hold e (bit j for matchings[j]).  The Kneser build,
@@ -238,7 +201,7 @@ def schonberger_check(g: Graph):
     """
     if g.m < 2:
         raise ValueError("schonberger_check needs at least two edges")
-    pms = enumerate_perfect_matchings(g)
+    pms = enumerate_matchings(g, g.n // 2) if g.n % 2 == 0 else []
     holders = holder_index(g.m, pms)
     everyone = (1 << len(pms)) - 1
     for e in range(g.m):
@@ -273,12 +236,3 @@ def pairwise_intersect(matchings) -> bool:
         if met != everyone:
             return False
     return True
-
-
-def perfect_matchings_pairwise_intersect(g: Graph) -> bool:
-    """True iff every two distinct perfect matchings share an edge.
-
-    Vacuously true with at most one perfect matching.  For a snark of
-    order 2r this is the mechanism that leaves KG(G, rK2) edgeless.
-    """
-    return pairwise_intersect(enumerate_perfect_matchings(g))

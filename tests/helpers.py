@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: exhaustive dynamic programs and
 plain backtracking with no heuristics, sharing no code with the package
-search engines they check.
+search engines they check.  Two engines that only the tests use live
+here too: matching_number, which drives the package's blossom search
+mkg.matchings._augment, and build_kneser, the classical KG(n, r) built
+without the package's matching enumerator.
 """
 
 import os
@@ -14,9 +17,10 @@ from itertools import combinations
 from pathlib import Path
 from random import Random
 
-from mkg import BudgetExhausted, Graph, parse_graph6, star_removal_bound
+from mkg import (BudgetExhausted, Graph, KneserGraph, disjoint_matching,
+                 parse_graph6, star_removal_bound)
 from mkg.edge_coloring import EdgeColoringResult, _backtrack_edge_coloring
-from mkg.graph_core import bit_indices
+from mkg.graph_core import bit_indices, check_count
 from mkg.matchings import _augment
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -50,6 +54,11 @@ def load_fixture(name):
     return out
 
 
+def edge_subgraph(g: Graph, mask: int) -> Graph:
+    """The spanning subgraph of g on the edges whose bits mask sets."""
+    return Graph(g.n, [e for i, e in enumerate(g.edges) if mask >> i & 1])
+
+
 def random_graph(rng: Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
@@ -81,6 +90,47 @@ def brute_matching_number(g: Graph) -> int:
     return best((1 << g.n) - 1)
 
 
+def matching_number(g: Graph) -> int:
+    """Exact maximum matching size: one blossom search (_augment) from
+    each vertex still free, in vertex order; a vertex with no augmenting
+    path never gains one later, so one pass suffices.
+    brute_matching_number pins this down on all small graphs.
+    """
+    n = g.n
+    match = [-1] * n
+    for v in range(n):
+        if match[v] == -1:
+            _augment(n, g.rows, match, v)
+    return sum(1 for v in range(n) if match[v] != -1) // 2
+
+
+def build_kneser(n: int, r: int) -> KneserGraph:
+    """Classical KG(n, r): r-subsets of {0..n-1}, adjacent when disjoint.
+
+    Encoded over the host nK2 so the result is directly comparable with
+    build_matching_kneser(disjoint_matching(n), r): subset element i
+    plays edge index i.  Built from combinations and pairwise
+    disjointness tests, not from the matching enumerator or the per-edge
+    masks, to keep the isomorphism check two-sided.  n < r gives a null
+    derived graph.  n and r are counts >= 1 (graph_core.check_count).
+    """
+    check_count(n, 1, "n")
+    check_count(r, 1, "r")
+    base = disjoint_matching(n)
+    subs = list(combinations(range(n), r))
+    masks = [sum(1 << x for x in s) for s in subs]
+    nv = len(subs)
+    rows = [0] * nv
+    for i in range(nv):
+        mi = masks[i]
+        for j in range(i + 1, nv):
+            if mi & masks[j] == 0:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    m = sum(row.bit_count() for row in rows) // 2
+    return KneserGraph(base, r, tuple(subs), tuple(rows), m)
+
+
 def brute_matchings(g: Graph, r: int):
     """All r-matchings straight from combinations, as sorted tuples."""
     def disjoint(es):
@@ -89,15 +139,13 @@ def brute_matchings(g: Graph, r: int):
     return [c for c in combinations(range(g.m), r) if disjoint(c)]
 
 
-def ref_r_matchings(g: Graph, r: int, allowed=None, first=False):
-    """The r-matchings of g among the allowed edges (None: all), in
-    lexicographic order, or only the first of them when first is set:
-    mkg.matchings' edge-index backtracker as it was before it branched
-    on vertices.  It tries the edges in index order and cuts a branch
-    only when too few edges are left to reach size r."""
-    idxs = list(range(g.m)) if allowed is None else bit_indices(allowed)
+def ref_r_matchings(g: Graph, r: int, first=False):
+    """The r-matchings of g in lexicographic order, or only the first of
+    them when first is set: mkg.matchings' edge-index backtracker as it
+    was before it branched on vertices.  It tries the edges in index
+    order and cuts a branch only when too few edges are left to reach
+    size r."""
     evmask = [(1 << u) | (1 << v) for u, v in g.edges]
-    k = len(idxs)
     out = []
     cur = []
 
@@ -105,12 +153,11 @@ def ref_r_matchings(g: Graph, r: int, allowed=None, first=False):
         if need == 0:
             out.append(tuple(cur))
             return first
-        for pos in range(start, k - need + 1):
-            e = idxs[pos]
+        for e in range(start, g.m - need + 1):
             if covered & evmask[e]:
                 continue
             cur.append(e)
-            if rec(pos + 1, covered | evmask[e], need - 1):
+            if rec(e + 1, covered | evmask[e], need - 1):
                 return True
             cur.pop()
         return False

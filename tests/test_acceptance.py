@@ -12,28 +12,32 @@ from helpers import (
     brute_colorable,
     brute_ex_multi,
     brute_matching_number,
+    build_kneser,
     load_fixture,
+    matching_number,
     random_graph,
 )
 from mkg import (
     Coloring,
     ExtremalCertificate,
-    build_kneser,
     build_matching_kneser,
     chromatic_number,
-    enumerate_perfect_matchings,
+    complete,
+    cycle,
+    disjoint_matching,
+    enumerate_matchings,
     ex_exact,
-    generate,
-    matching_number,
     parse_graph6,
-    perfect_matchings_pairwise_intersect,
+    petersen,
     schonberger_check,
+    star,
     validate_certificate,
     validate_coloring,
     verify_conjecture,
     write_graph6,
 )
 from mkg.edge_coloring import chromatic_index, is_snark
+from mkg.matchings import pairwise_intersect
 
 
 @contextmanager
@@ -52,7 +56,7 @@ def criterion(capsys, num):
 def test_criterion_1_petersen_counterexample(capsys):
     with criterion(capsys, 1) as note:
         t0 = time.monotonic()
-        g = generate("petersen")
+        g = petersen()
         rep = verify_conjecture(g, 5)
         assert rep.n == 10 and rep.m == 15 and rep.r == 5
         assert rep.num_r_matchings == 6
@@ -125,10 +129,9 @@ def test_criterion_3_theorem_side_sweep(capsys):
 
 def test_criterion_4_equality_spot_checks(capsys):
     with criterion(capsys, 4) as note:
-        for name, want in [("cycle(5)", 3), ("star(3)", 0), ("complete(4)", 3)]:
-            g = generate(name)
+        for g, want in [(cycle(5), 3), (star(3), 0), (complete(4), 3)]:
             rep = verify_conjecture(g, 2)
-            assert rep.chromatic_number == want and rep.rhs == want, name
+            assert rep.chromatic_number == want and rep.rhs == want, g.edges
             assert rep.verdict == "holds"
         note["msg"] = "cycle(5)=3, star(3)=0, complete(4)=3 at r=2"
 
@@ -138,8 +141,7 @@ def test_criterion_5_kneser_isomorphism(capsys):
         pairs = 0
         for n in range(1, 9):
             for r in range(1, 5):
-                a = build_matching_kneser(generate(f"disjoint_matching({n})"),
-                                          r)
+                a = build_matching_kneser(disjoint_matching(n), r)
                 b = build_kneser(n, r)
                 # both routes list the r-subsets in the same order, so the
                 # isomorphism is the identity: equal labels, equal rows
@@ -173,9 +175,8 @@ def test_criterion_6_oracle_suites(capsys):
                 ex_checked += 1
 
         chi_checked = 0
-        hosts = ([generate(s) for s in
-                  ("cycle(4)", "cycle(5)", "cycle(6)", "complete(4)",
-                   "star(3)", "disjoint_matching(4)", "petersen")]
+        hosts = ([cycle(4), cycle(5), cycle(6), complete(4), star(3),
+                  disjoint_matching(4), petersen()]
                  + load_fixture("connected_n7.g6"))
         for g in hosts:
             for r in (2, 3, 5):
@@ -201,16 +202,17 @@ def test_criterion_7_empirical_theorem_checks(capsys):
         class_two = 0
         for g in corpus:
             assert g.n <= 14
-            assert enumerate_perfect_matchings(g), write_graph6(g)
+            pms = enumerate_matchings(g, g.n // 2)
+            assert pms, write_graph6(g)
             ok, pair = schonberger_check(g)
             assert ok and pair is None, write_graph6(g)
             if chromatic_index(g).chromatic_index == 4:
                 class_two += 1
-                assert perfect_matchings_pairwise_intersect(g)
+                assert pairwise_intersect(pms)
         for name in ("flower_j5.g6", "blanusa_1.g6", "blanusa_2.g6"):
             g = load_fixture(name)[0]
             assert is_snark(g)[0]
-            assert perfect_matchings_pairwise_intersect(g)
+            assert pairwise_intersect(enumerate_matchings(g, g.n // 2))
             class_two += 1
         note["msg"] = (f"15 cubic fixtures pass PM + pair checks; "
                        f"{class_two} class-two fixtures all intersecting")

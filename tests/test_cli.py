@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from helpers import run_fresh
-from mkg import (build_matching_kneser, complete, generate, to_dot,
+from mkg import (build_matching_kneser, complete, cycle, petersen, to_dot,
                  write_graph6)
 from mkg.cli import main
 from mkg.verifier import report_from_json, report_to_json
@@ -27,7 +27,7 @@ def _stdin_bytes(monkeypatch, data: bytes):
 
 class TestCheck:
     def test_counterexample_json(self, g6file, capsys):
-        rc = main(["check", "-g", g6file(generate("petersen")), "-r", "5",
+        rc = main(["check", "-g", g6file(petersen()), "-r", "5",
                    "--json"])
         out, err = capsys.readouterr()
         assert rc == 1
@@ -37,7 +37,7 @@ class TestCheck:
         assert "counterexample:" in err
 
     def test_holds_text(self, g6file, capsys):
-        rc = main(["check", "-g", g6file(generate("cycle(5)")), "-r", "2"])
+        rc = main(["check", "-g", g6file(cycle(5)), "-r", "2"])
         out, err = capsys.readouterr()
         assert rc == 0
         assert "verdict: holds" in out
@@ -45,40 +45,40 @@ class TestCheck:
         assert err == ""
 
     def test_half_order(self, g6file, capsys):
-        rc = main(["check", "-g", g6file(generate("petersen")),
+        rc = main(["check", "-g", g6file(petersen()),
                    "-r", "half-order"])
         out, _ = capsys.readouterr()
         assert rc == 1 and "r=5" in out
 
     def test_half_order_odd_skipped(self, g6file, capsys):
-        rc = main(["check", "-g", g6file(generate("cycle(5)")),
+        rc = main(["check", "-g", g6file(cycle(5)),
                    "-r", "half-order"])
         out, _ = capsys.readouterr()
         assert rc == 0
         assert "verdict: r-out-of-scope" in out
 
     def test_stdin(self, capsys, monkeypatch):
-        _stdin_bytes(monkeypatch, write_graph6(generate("cycle(5)")).encode())
+        _stdin_bytes(monkeypatch, write_graph6(cycle(5)).encode())
         rc = main(["check", "-g", "-", "-r", "2"])
         out, _ = capsys.readouterr()
         assert rc == 0 and "verdict: holds" in out
 
     def test_dot_half_order(self, g6file, tmp_path, capsys):
         dot = tmp_path / "kg.dot"
-        rc = main(["check", "-g", g6file(generate("cycle(6)")),
+        rc = main(["check", "-g", g6file(cycle(6)),
                    "-r", "half-order", "--dot", str(dot)])
         out, _ = capsys.readouterr()
         assert rc == 0 and "r=3" in out
-        kg = build_matching_kneser(generate("cycle(6)"), 3)
+        kg = build_matching_kneser(cycle(6), 3)
         assert dot.read_text() == to_dot(kg)
 
     def test_dot_output(self, g6file, tmp_path, capsys):
         dot = tmp_path / "kg.dot"
-        rc = main(["check", "-g", g6file(generate("cycle(5)")), "-r", "2",
+        rc = main(["check", "-g", g6file(cycle(5)), "-r", "2",
                    "--dot", str(dot)])
         capsys.readouterr()
         assert rc == 0
-        kg = build_matching_kneser(generate("cycle(5)"), 2)
+        kg = build_matching_kneser(cycle(5), 2)
         assert dot.read_text() == to_dot(kg)
 
     def test_dot_skipped_host_writes_null_graph(self, g6file, tmp_path,
@@ -86,7 +86,7 @@ class TestCheck:
         # half-order skips K5; the DOT file holds the null derived graph
         # that the report describes
         dot = tmp_path / "kg.dot"
-        rc = main(["check", "-g", g6file(generate("complete(5)")),
+        rc = main(["check", "-g", g6file(complete(5)),
                    "-r", "half-order", "--dot", str(dot)])
         out, err = capsys.readouterr()
         assert rc == 0 and err == ""
@@ -95,7 +95,7 @@ class TestCheck:
         assert dot.read_bytes() == b"graph kneser {\n}\n"
 
     def test_budget_undecided(self, g6file, capsys):
-        rc = main(["check", "-g", g6file(generate("complete(7)")), "-r", "2",
+        rc = main(["check", "-g", g6file(complete(7)), "-r", "2",
                    "--budget", "3"])
         out, _ = capsys.readouterr()
         assert rc == 3
@@ -103,7 +103,7 @@ class TestCheck:
         assert "chromatic_number: -1" in out
 
     def test_bad_r_is_usage_error(self, g6file):
-        path = g6file(generate("cycle(5)"))
+        path = g6file(cycle(5))
         for bad in ("0", "-3", "two"):
             with pytest.raises(SystemExit) as ei:
                 main(["check", "-g", path, "-r", bad])
@@ -130,7 +130,7 @@ class TestCheck:
 
 class TestScan:
     def test_text_with_parse_error(self, g6file, capsys):
-        path = g6file(generate("cycle(4)"), generate("cycle(5)"),
+        path = g6file(cycle(4), cycle(5),
                       raw=["%%%"])
         rc = main(["scan", "-g", path, "-r", "2"])
         out, err = capsys.readouterr()
@@ -141,14 +141,14 @@ class TestScan:
         assert err == ""
 
     def test_counterexample_wins_exit_code(self, g6file, capsys):
-        path = g6file(generate("petersen"), raw=["%%%"])
+        path = g6file(petersen(), raw=["%%%"])
         rc = main(["scan", "-g", path, "-r", "half-order"])
         out, err = capsys.readouterr()
         assert rc == 1
         assert "counterexample:" in err
 
     def test_json_lines(self, g6file, capsys):
-        path = g6file(generate("cycle(4)"), generate("petersen"), raw=["!"])
+        path = g6file(cycle(4), petersen(), raw=["!"])
         rc = main(["scan", "-g", path, "-r", "2", "--json"])
         out, _ = capsys.readouterr()
         lines = out.strip().splitlines()
@@ -167,15 +167,15 @@ class TestScan:
         assert out == "line 1: parse error: non-ASCII character (byte offset 1)\n"
 
     def test_budget_undecided(self, g6file, capsys):
-        rc = main(["scan", "-g", g6file(generate("complete(7)")), "-r", "2",
+        rc = main(["scan", "-g", g6file(complete(7)), "-r", "2",
                    "--budget", "3"])
         out, _ = capsys.readouterr()
         assert rc == 3
         assert "chi=-1" in out and "verdict=undecided" in out
 
     def test_scan_stdin(self, capsys, monkeypatch):
-        text = "\n".join([write_graph6(generate("cycle(4)")),
-                          write_graph6(generate("cycle(6)"))])
+        text = "\n".join([write_graph6(cycle(4)),
+                          write_graph6(cycle(6))])
         _stdin_bytes(monkeypatch, text.encode())
         rc = main(["scan", "-g", "-", "-r", "2"])
         out, _ = capsys.readouterr()
@@ -185,7 +185,7 @@ class TestScan:
 
 class TestSmallCommands:
     def test_ex(self, g6file, capsys):
-        rc = main(["ex", "-g", g6file(generate("cycle(5)")), "-r", "2"])
+        rc = main(["ex", "-g", g6file(cycle(5)), "-r", "2"])
         out, _ = capsys.readouterr()
         assert rc == 0
         assert "n=5 m=5 r=2" in out
@@ -193,22 +193,22 @@ class TestSmallCommands:
         assert "edges=0=(0,1) 1=(0,4)" in out
 
     def test_chi_index(self, g6file, capsys):
-        rc = main(["chi-index", "-g", g6file(generate("petersen"))])
+        rc = main(["chi-index", "-g", g6file(petersen())])
         out, _ = capsys.readouterr()
         assert rc == 0
         assert "chromatic_index=4" in out and "class=two" in out
 
     def test_kneser_summary(self, g6file, capsys):
-        rc = main(["kneser", "-g", g6file(generate("cycle(5)")), "-r", "2"])
+        rc = main(["kneser", "-g", g6file(cycle(5)), "-r", "2"])
         out, _ = capsys.readouterr()
         assert rc == 0 and out.strip() == "vertices=5 edges=5"
 
     def test_kneser_dot(self, g6file, capsys):
-        rc = main(["kneser", "-g", g6file(generate("cycle(5)")), "-r", "2",
+        rc = main(["kneser", "-g", g6file(cycle(5)), "-r", "2",
                    "--dot"])
         out, _ = capsys.readouterr()
         assert rc == 0
-        assert out == to_dot(build_matching_kneser(generate("cycle(5)"), 2))
+        assert out == to_dot(build_matching_kneser(cycle(5), 2))
 
 
 class TestOneGraph:
@@ -222,7 +222,7 @@ class TestOneGraph:
 
     @pytest.mark.parametrize("command", sorted(ARGS))
     def test_file(self, g6file, capsys, command):
-        path = g6file(generate("cycle(5)"), generate("petersen"),
+        path = g6file(cycle(5), petersen(),
                       raw=[""])
         rc = main([command, "-g", path, *self.ARGS[command]])
         out, err = capsys.readouterr()
@@ -230,8 +230,8 @@ class TestOneGraph:
 
     @pytest.mark.parametrize("command", sorted(ARGS))
     def test_stdin(self, capsys, monkeypatch, command):
-        text = "\n".join(["", write_graph6(generate("cycle(5)")),
-                          write_graph6(generate("petersen")), ""])
+        text = "\n".join(["", write_graph6(cycle(5)),
+                          write_graph6(petersen()), ""])
         _stdin_bytes(monkeypatch, text.encode())
         rc = main([command, "-g", "-", *self.ARGS[command]])
         out, err = capsys.readouterr()
@@ -247,7 +247,7 @@ class TestOneGraph:
                                   "mkg: no graph6 line found in input\n")
 
     def test_blank_lines_around_one_graph(self, g6file, capsys):
-        path = g6file(generate("cycle(5)"), raw=["", "  "])
+        path = g6file(cycle(5), raw=["", "  "])
         with open(path, "a") as fh:
             fh.write("\n \n")
         assert main(["ex", "-g", path, "-r", "2"]) == 0
@@ -262,7 +262,7 @@ class TestUsage:
 
     def test_unknown_flag(self, g6file):
         with pytest.raises(SystemExit) as ei:
-            main(["check", "-g", g6file(generate("cycle(5)")), "-r", "2",
+            main(["check", "-g", g6file(cycle(5)), "-r", "2",
                   "--frobnicate"])
         assert ei.value.code == 2
 
@@ -274,7 +274,7 @@ class TestUsage:
         ("\u0665", "must be an integer")])
     def test_bad_budget(self, g6file, capsys, command, budget, message):
         with pytest.raises(SystemExit) as ei:
-            main([command, "-g", g6file(generate("cycle(5)")), "-r", "2",
+            main([command, "-g", g6file(cycle(5)), "-r", "2",
                   "--budget", budget])
         assert ei.value.code == 2
         _, err = capsys.readouterr()
@@ -293,7 +293,7 @@ class TestUsage:
          "r-policy must be an integer or 'half-order', got '\u0663'")])
     def test_bad_r(self, g6file, capsys, command, r, message):
         with pytest.raises(SystemExit) as ei:
-            main([command, "-g", g6file(generate("cycle(5)")), "-r", r])
+            main([command, "-g", g6file(cycle(5)), "-r", r])
         assert ei.value.code == 2
         _, err = capsys.readouterr()
         assert err.endswith(
@@ -301,7 +301,7 @@ class TestUsage:
 
     def test_ex_rejects_bad_r(self, g6file):
         with pytest.raises(SystemExit) as ei:
-            main(["ex", "-g", g6file(generate("cycle(5)")), "-r", "0"])
+            main(["ex", "-g", g6file(cycle(5)), "-r", "0"])
         assert ei.value.code == 2
 
 

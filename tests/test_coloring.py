@@ -5,17 +5,20 @@ import sys
 import pytest
 
 from helpers import (bad_counts, brute_chromatic, brute_clique_number,
-                     brute_star_triangle_excess, load_fixture, random_graph,
-                     ref_dsatur_bnb)
+                     brute_star_triangle_excess, build_kneser, load_fixture,
+                     random_graph, ref_dsatur_bnb)
 from mkg import (
     BudgetExhausted,
     Coloring,
     InvalidCertificateError,
-    build_kneser,
     build_matching_kneser,
     chromatic_number,
-    generate,
+    complete,
+    cycle,
+    disjoint_matching,
     greedy_ex_coloring,
+    petersen,
+    star,
     star_triangle_bound,
     validate_coloring,
 )
@@ -33,13 +36,13 @@ from mkg.matchings import has_matching_of_size
 
 class TestConventions:
     def test_null_graph(self):
-        kg = build_matching_kneser(generate("star(3)"), 2)
+        kg = build_matching_kneser(star(3), 2)
         chi, col = chromatic_number(kg)
         assert chi == 0 and col.colors == () and col.k == 0
         assert validate_coloring(kg, col)
 
     def test_edgeless(self):
-        kg = build_matching_kneser(generate("petersen"), 5)
+        kg = build_matching_kneser(petersen(), 5)
         chi, col = chromatic_number(kg)
         assert chi == 1 and col.colors == (0,) * 6
         assert validate_coloring(kg, col)
@@ -47,13 +50,13 @@ class TestConventions:
 
 class TestExamples:
     def test_small_graphs(self):
-        assert chromatic_number(generate("cycle(5)"))[0] == 3
-        assert chromatic_number(generate("cycle(6)"))[0] == 2
-        assert chromatic_number(generate("complete(4)"))[0] == 4
-        assert chromatic_number(generate("petersen"))[0] == 3
+        assert chromatic_number(cycle(5))[0] == 3
+        assert chromatic_number(cycle(6))[0] == 2
+        assert chromatic_number(complete(4))[0] == 4
+        assert chromatic_number(petersen())[0] == 3
 
     def test_kneser_graphs(self):
-        kg = build_matching_kneser(generate("cycle(5)"), 2)
+        kg = build_matching_kneser(cycle(5), 2)
         assert chromatic_number(kg)[0] == 3
         assert chromatic_number(build_kneser(5, 2))[0] == 3  # Kneser bound
         assert chromatic_number(build_kneser(6, 2))[0] == 4
@@ -69,14 +72,13 @@ class TestAgainstBrute:
             assert validate_coloring(g, col)
 
     def test_small_kneser_instances(self):
-        cases = [("cycle(4)", 2), ("cycle(5)", 2), ("cycle(6)", 2),
-                 ("cycle(6)", 3), ("complete(4)", 2),
-                 ("disjoint_matching(4)", 2), ("disjoint_matching(4)", 3),
-                 ("petersen", 5)]
-        for name, r in cases:
-            kg = build_matching_kneser(generate(name), r)
+        cases = [(cycle(4), 2), (cycle(5), 2), (cycle(6), 2), (cycle(6), 3),
+                 (complete(4), 2), (disjoint_matching(4), 2),
+                 (disjoint_matching(4), 3), (petersen(), 5)]
+        for g, r in cases:
+            kg = build_matching_kneser(g, r)
             chi, col = chromatic_number(kg)
-            assert chi == brute_chromatic(kg), (name, r)
+            assert chi == brute_chromatic(kg), (g.edges, r)
             assert validate_coloring(kg, col)
 
 
@@ -237,9 +239,9 @@ class TestSlowTwin:
                                0.3 + 0.55 * rng.random())
         for n, k in ((5, 2), (6, 2), (7, 2), (7, 3)):
             yield build_kneser(n, k)
-        for name, r in (("cycle(7)", 2), ("complete(5)", 2),
-                        ("complete(6)", 2), ("cycle(9)", 3)):
-            yield build_matching_kneser(generate(name), r)
+        for g, r in ((cycle(7), 2), (complete(5), 2), (complete(6), 2),
+                     (cycle(9), 3)):
+            yield build_matching_kneser(g, r)
 
     def _starts(self, g):
         masks, n = g.rows, g.n
@@ -276,8 +278,8 @@ class TestSearchFingerprint:
         # incumbent's, so Petersen exhausts budgets 10^3 and 10^4 at
         # [5, 9], not [5, 10]
         out = []
-        for name, r in (("complete(8)", 2), ("petersen", 3)):
-            kg = build_matching_kneser(generate(name), r)
+        for g, r in ((complete(8), 2), (petersen(), 3)):
+            kg = build_matching_kneser(g, r)
             for budget in (10**2, 10**3, 10**4):
                 try:
                     chi, col = chromatic_number(kg, budget=budget)
@@ -292,7 +294,7 @@ class TestSearchFingerprint:
 class TestBudget:
     def test_budget_exhausted_carries_bounds(self):
         with pytest.raises(BudgetExhausted) as ei:
-            chromatic_number(generate("cycle(5)"), budget=0)
+            chromatic_number(cycle(5), budget=0)
         err = ei.value
         assert err.budget == 0
         assert 0 < err.lower_bound <= 3 <= err.upper_bound
@@ -301,16 +303,16 @@ class TestBudget:
     @pytest.mark.parametrize("budget", bad_counts(0))
     def test_rejects_non_int_budget(self, budget):
         with pytest.raises(ValueError, match="an int budget >= 0"):
-            chromatic_number(generate("cycle(5)"), budget=budget)
+            chromatic_number(cycle(5), budget=budget)
 
     def test_big_budget_fine(self):
-        chi, _ = chromatic_number(generate("petersen"), budget=10**6)
+        chi, _ = chromatic_number(petersen(), budget=10**6)
         assert chi == 3
 
 
 class TestGreedyExColoring:
     def test_petersen_r5(self):
-        g = generate("petersen")
+        g = petersen()
         cert = ex_exact(g, 5)
         kg = build_matching_kneser(g, 5)
         col = greedy_ex_coloring(kg, cert)
@@ -318,7 +320,7 @@ class TestGreedyExColoring:
         assert col.k <= g.m - cert.value
 
     def test_c5_r2(self):
-        g = generate("cycle(5)")
+        g = cycle(5)
         cert = ex_exact(g, 2)
         kg = build_matching_kneser(g, 2)
         col = greedy_ex_coloring(kg, cert)
@@ -327,13 +329,13 @@ class TestGreedyExColoring:
         assert chromatic_number(kg)[0] <= col.k
 
     def test_empty_kneser(self):
-        g = generate("star(3)")
+        g = star(3)
         cert = ex_exact(g, 2)  # all edges survive, nu = 1
         col = greedy_ex_coloring(build_matching_kneser(g, 2), cert)
         assert col.colors == () and col.k == 0
 
     def test_invalid_certificate_rejected(self):
-        g = generate("cycle(5)")
+        g = cycle(5)
         bogus = ExtremalCertificate(frozenset({0, 1, 2, 3, 4}), 5, 2)
         with pytest.raises(InvalidCertificateError) as ei:
             greedy_ex_coloring(build_matching_kneser(g, 2), bogus)
@@ -343,7 +345,7 @@ class TestGreedyExColoring:
         u2, v2 = g.edges[w[1]]
         assert not {u1, v1} & {u2, v2}
         # the witness the certificate check's backtracker finds first
-        assert w == has_matching_of_size(g, 2, allowed=0b11111)
+        assert w == has_matching_of_size(g, 2)
 
     def test_random_hosts_bound_holds(self):
         rng = random.Random(64)
@@ -393,15 +395,15 @@ class TestStarTriangleBound:
         # K4 and K5 reach the target with their whole edge set:
         # 3 * 6 - 3 = 15 >= 3 * 3 + 3, and 3 * 10 - 15 = 15 >= 3 * 4 + 3
         for n in (4, 5):
-            g = generate(f"complete({n})")
+            g = complete(n)
             assert not star_triangle_bound(g, n - 1)
         for n in range(6, 11):
-            assert star_triangle_bound(generate(f"complete({n})"), n - 1)
+            assert star_triangle_bound(complete(n), n - 1)
 
     def test_node_caps_withhold_the_bound(self, monkeypatch):
         # KG(K6, 2K2) is certified after 298 nodes, not within 297, and
         # the search takes the smaller of budget and its own cap
-        g = generate("complete(6)")
+        g = complete(6)
         assert star_triangle_bound(g, 5, budget=298)
         assert not star_triangle_bound(g, 5, budget=297)
         assert not star_triangle_bound(g, 5, budget=0)
@@ -411,12 +413,19 @@ class TestStarTriangleBound:
     @pytest.mark.parametrize("budget", bad_counts(0))
     def test_rejects_bad_budget(self, budget):
         with pytest.raises(ValueError, match="budget"):
-            star_triangle_bound(generate("complete(6)"), 5, budget=budget)
+            star_triangle_bound(complete(6), 5, budget=budget)
+
+    @pytest.mark.parametrize("ex_value", bad_counts(0))
+    def test_rejects_bad_ex_value(self, ex_value):
+        # True, 2.5, 2.0 and -1 used to answer False, and "2" raised
+        # TypeError
+        with pytest.raises(ValueError, match="an int ex_value >= 0"):
+            star_triangle_bound(complete(6), ex_value)
 
 
 class TestValidateColoring:
     def test_rejects_bad_witnesses(self):
-        g = generate("cycle(4)")
+        g = cycle(4)
         assert validate_coloring(g, Coloring((0, 1, 0, 1), 2))
         assert not validate_coloring(g, Coloring((0, 1, 0), 2))  # length
         assert not validate_coloring(g, Coloring((0, 2, 0, 2), 3))  # gap

@@ -6,11 +6,12 @@ from itertools import combinations
 import mkg.edge_coloring
 from helpers import (FIXTURES, brute_chromatic, load_fixture, random_graph,
                      ref_chromatic_index)
-from mkg import (Graph, bridges, generalized_petersen, generate, is_connected,
-                 is_cubic, perfect_matchings_pairwise_intersect)
+from mkg import (Graph, bridges, complete, cycle, enumerate_matchings,
+                 flower, generalized_petersen, is_connected, is_cubic,
+                 petersen, star)
 from mkg.edge_coloring import (_backtrack_edge_coloring, chromatic_index,
                                is_snark)
-from mkg.matchings import enumerate_perfect_matchings
+from mkg.matchings import pairwise_intersect
 
 # sha256 of repr(chromatic_index(g)), one per line, over every fixture
 # graph in file-name order; change it only with an intended change of
@@ -50,15 +51,15 @@ def assert_proper(g: Graph, res) -> None:
 
 class TestChromaticIndex:
     def test_examples(self):
-        res = chromatic_index(generate("petersen"))
+        res = chromatic_index(petersen())
         assert res.chromatic_index == 4 and res.vizing_class == "two"
-        res = chromatic_index(generate("complete(4)"))
+        res = chromatic_index(complete(4))
         assert res.chromatic_index == 3 and res.vizing_class == "one"
-        res = chromatic_index(generate("cycle(6)"))
+        res = chromatic_index(cycle(6))
         assert res.chromatic_index == 2 and res.vizing_class == "one"
-        res = chromatic_index(generate("cycle(5)"))
+        res = chromatic_index(cycle(5))
         assert res.chromatic_index == 3 and res.vizing_class == "two"
-        res = chromatic_index(generate("star(4)"))
+        res = chromatic_index(star(4))
         assert res.chromatic_index == 4 and res.vizing_class == "one"
 
     def test_empty(self):
@@ -94,7 +95,7 @@ class TestChromaticIndex:
             if g.n > 12:
                 continue
             masks = [sum(1 << e for e in pm)
-                     for pm in enumerate_perfect_matchings(g)]
+                     for pm in enumerate_matchings(g, g.n // 2)]
             full = (1 << g.m) - 1
             has_partition = any(
                 a | b | c == full
@@ -129,7 +130,7 @@ class TestChromaticIndex:
     def test_overfull_is_class_two_by_counting(self):
         # K9 has m = 36 > Delta * floor(n/2) = 32: no 8-edge-coloring can
         # exist, and the exhaustive 8-color search alone runs for minutes
-        g = generate("complete(9)")
+        g = complete(9)
         start = time.perf_counter()
         res = chromatic_index(g)
         assert time.perf_counter() - start < 10
@@ -140,7 +141,7 @@ class TestChromaticIndex:
         # class two from the perfect matchings: no exhaustive 3-color
         # search, so J9 answers in milliseconds
         for k, want in FLOWER_SHA256.items():
-            res = chromatic_index(generate(f"flower({k})"))
+            res = chromatic_index(flower(k))
             assert res.vizing_class == "two"
             assert hashlib.sha256(repr(res).encode()).hexdigest() == want
 
@@ -184,7 +185,7 @@ class TestChromaticIndex:
         g = NO_PM_CUBIC
         assert is_cubic(g) and is_connected(g)
         assert bridges(g) == [g.edges.index((b + 4, 15)) for b in (0, 5, 10)]
-        assert enumerate_perfect_matchings(g) == []
+        assert enumerate_matchings(g, g.n // 2) == []
         res = chromatic_index(g)
         assert res == ref_chromatic_index(g)
         assert res.chromatic_index == 4 and res.vizing_class == "two"
@@ -200,15 +201,15 @@ BRIDGED_CUBIC = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3),
 
 class TestIsSnark:
     def test_petersen(self):
-        ok, reason = is_snark(generate("petersen"))
+        ok, reason = is_snark(petersen())
         assert ok and reason is None
 
     def test_three_edge_colorable(self):
-        ok, reason = is_snark(generate("complete(4)"))
+        ok, reason = is_snark(complete(4))
         assert not ok and reason == "chromatic index 3"
 
     def test_not_cubic(self):
-        ok, reason = is_snark(generate("cycle(6)"))
+        ok, reason = is_snark(cycle(6))
         assert not ok and reason == "not cubic"
 
     def test_bridge(self):
@@ -216,7 +217,7 @@ class TestIsSnark:
         assert not ok and reason == "has a bridge"
 
     def test_disconnected(self):
-        k4 = generate("complete(4)")
+        k4 = complete(4)
         two = Graph(8, list(k4.edges) + [(u + 4, v + 4) for u, v in k4.edges])
         ok, reason = is_snark(two)
         assert not ok and reason == "not connected"
@@ -251,7 +252,7 @@ class TestIsSnark:
         for name in ("petersen.g6", "flower_j5.g6", "blanusa_1.g6",
                      "blanusa_2.g6"):
             graphs += load_fixture(name)
-        graphs += [generate(f"flower({k})") for k in range(3, 8)]
+        graphs += [flower(k) for k in range(3, 8)]
         graphs += load_fixture("connected_n7.g6") + [Graph(0, [])]
         reasons = set()
         for g in graphs:
@@ -267,7 +268,7 @@ def _scan_hosts():
     s <= 3, cubic or not."""
     graphs = [g for path in sorted(FIXTURES.glob("*.g6"))
               for g in load_fixture(path.name)]
-    graphs += [generate(f"flower({k})") for k in range(3, 8)]
+    graphs += [flower(k) for k in range(3, 8)]
     graphs += [generalized_petersen(k, s)
                for k in range(3, 21) for s in range(1, 4) if 2 * s < k]
     return graphs
@@ -299,7 +300,8 @@ class TestEvenTwoFactorScan:
         for g in hosts:
             got, _ = is_snark(g)
             assert got == (_backtrack_edge_coloring(g, 3) is None), g
-            assert got == perfect_matchings_pairwise_intersect(g), g
+            pms = enumerate_matchings(g, g.n // 2)
+            assert got == pairwise_intersect(pms), g
             snarks += got
         # 22 cubic fixtures (3 of them in connected_n7), J3..J7 and 48
         # GP(k, s); the class-two ones are Petersen (three times: its
@@ -321,10 +323,10 @@ class TestEvenTwoFactorScan:
         # perfect matchings; with it no search runs
         hosts = [g for path in sorted(FIXTURES.glob("*.g6"))
                  for g in load_fixture(path.name) if g.n % 2 == 0]
-        hosts += [generate(f"flower({k})") for k in range(3, 10)]
+        hosts += [flower(k) for k in range(3, 10)]
         for g in hosts:
             want = is_snark(g)
-            pms = enumerate_perfect_matchings(g)
+            pms = enumerate_matchings(g, g.n // 2)
             with monkeypatch.context() as patched:
                 patched.setattr(mkg.edge_coloring, "_search", None)
                 assert is_snark(g, pms) == want, g
@@ -335,12 +337,12 @@ class TestEvenTwoFactorScan:
         visited = 0
         search = mkg.edge_coloring._search
 
-        def counted(g, r, allowed, visit):
+        def counted(g, r, visit):
             def counting(mt):
                 nonlocal visited
                 visited += 1
                 return visit(mt)
-            return search(g, r, allowed, counting)
+            return search(g, r, counting)
 
         monkeypatch.setattr(mkg.edge_coloring, "_search", counted)
         assert is_snark(generalized_petersen(40, 1)) == (

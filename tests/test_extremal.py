@@ -14,6 +14,7 @@ from helpers import (
     brute_ex_keep_first,
     brute_ex_multi,
     load_fixture,
+    matching_number,
     random_graph,
     ref_ex_exact,
     run_fresh,
@@ -21,10 +22,13 @@ from helpers import (
 from mkg import (
     ExtremalCertificate,
     Graph,
+    complete,
+    cycle,
     enumerate_matchings,
     ex_exact,
-    generate,
-    matching_number,
+    flower,
+    petersen,
+    star,
     star_removal_bound,
     validate_certificate,
 )
@@ -33,16 +37,16 @@ from mkg.extremal import _degree_cap
 
 class TestStarRemoval:
     def test_petersen(self):
-        cert = star_removal_bound(generate("petersen"), 5)
+        cert = star_removal_bound(petersen(), 5)
         assert cert is not None and cert.value == 12
-        assert validate_certificate(generate("petersen"), cert)
+        assert validate_certificate(petersen(), cert)
 
     def test_only_half_order(self):
-        assert star_removal_bound(generate("petersen"), 4) is None
-        assert star_removal_bound(generate("cycle(5)"), 2) is None
+        assert star_removal_bound(petersen(), 4) is None
+        assert star_removal_bound(cycle(5), 2) is None
 
     def test_picks_lowest_min_degree_vertex(self):
-        g = generate("star(3)")  # n=4, r=2: min degree vertex is leaf 1
+        g = star(3)  # n=4, r=2: min degree vertex is leaf 1
         cert = star_removal_bound(g, 2)
         assert cert.value == g.m - 1
         assert cert.edges == frozenset({1, 2})  # edge 0 = (0,1) dropped
@@ -60,14 +64,14 @@ class TestStarRemoval:
 
 class TestExExact:
     def test_examples(self):
-        assert ex_exact(generate("petersen"), 5).value == 12
-        assert ex_exact(generate("cycle(5)"), 2).value == 2
-        assert ex_exact(generate("star(3)"), 2).value == 3
-        assert ex_exact(generate("complete(4)"), 2).value == 3
+        assert ex_exact(petersen(), 5).value == 12
+        assert ex_exact(cycle(5), 2).value == 2
+        assert ex_exact(star(3), 2).value == 3
+        assert ex_exact(complete(4), 2).value == 3
 
     def test_rejects_r_zero(self):
         with pytest.raises(ValueError):
-            ex_exact(generate("cycle(5)"), 0)
+            ex_exact(cycle(5), 0)
 
     @pytest.mark.parametrize("r", bad_counts(1))
     def test_rejects_non_int_r(self, r):
@@ -75,7 +79,7 @@ class TestExExact:
         # and star_removal_bound(petersen, 5.0) a certificate with r=5.0
         for call in (ex_exact, star_removal_bound):
             with pytest.raises(ValueError, match="an int r >= 1"):
-                call(generate("petersen"), r)
+                call(petersen(), r)
 
     def test_against_brute_random(self):
         rng = random.Random(616)
@@ -99,11 +103,11 @@ class TestExExact:
 
     def test_r_one_is_zero(self):
         # a 1-matching is a single edge, so nothing can be kept
-        assert ex_exact(generate("petersen"), 1).value == 0
-        assert ex_exact(generate("complete(5)"), 1).value == 0
+        assert ex_exact(petersen(), 1).value == 0
+        assert ex_exact(complete(5), 1).value == 0
 
     def test_r_above_nu_keeps_everything(self):
-        g = generate("cycle(5)")
+        g = cycle(5)
         cert = ex_exact(g, 3)  # nu(C5) = 2
         assert cert.value == g.m and cert.edges == frozenset(range(g.m))
 
@@ -125,7 +129,7 @@ class TestExExact:
             assert cert.edges == seed.edges
 
     def test_deterministic(self):
-        g = generate("cycle(5)")
+        g = cycle(5)
         a = ex_exact(g, 2)
         b = ex_exact(g, 2)
         assert a == b
@@ -171,7 +175,7 @@ class TestExExact:
             g = random_graph(rng, n, rng.uniform(0.2, 0.8))
             if 0 < g.m <= 14:
                 hosts.append((g, (n // 2, n // 2 - 1)))
-        hosts += [(generate(f"cycle({n})"), (n // 2,))
+        hosts += [(cycle(n), (n // 2,))
                   for n in range(3, 16, 2)]
         cubic = load_fixture("cubic_bridgeless_n14.g6") + load_fixture(
             "petersen.g6")
@@ -299,13 +303,13 @@ class TestSeedProof:
         # takes a second, so it checks the complete graphs up to K6
         hosts = [g for path in sorted(helpers.FIXTURES.glob("*.g6"))
                  for g in load_fixture(path.name) if g.n % 2 == 0 and g.n]
-        hosts += [generate(f"flower({k})") for k in range(3, 8)]
-        complete = [generate(f"complete({2 * r})") for r in range(1, 6)]
-        for g in hosts + complete:
+        hosts += [flower(k) for k in range(3, 8)]
+        cliques = [complete(2 * r) for r in range(1, 6)]
+        for g in hosts + cliques:
             r = g.n // 2
             cert = ex_exact(g, r)
             assert cert == _branch_and_bound_only(monkeypatch, g, r), g
-            if g not in complete or r <= 3:
+            if g not in cliques or r <= 3:
                 assert (cert.edges, cert.value) == ref_ex_exact(g, r), g
             assert validate_certificate(g, cert)
         assert len(hosts) == 143
@@ -313,7 +317,7 @@ class TestSeedProof:
     def test_complete_graphs_meet_erdos_gallai(self):
         # ex(K_2r, rK2) = max{C(2r-1, 2), C(r-1, 2) + (r-1)(r+1)}
         for r in range(1, 8):
-            cert = ex_exact(generate(f"complete({2 * r})"), r)
+            cert = ex_exact(complete(2 * r), r)
             want = max(comb(2 * r - 1, 2), comb(r - 1, 2) + (r - 1) * (r + 1))
             assert cert.value == want, r
 
@@ -330,7 +334,7 @@ class TestSeedProof:
             return hits(*args)
 
         monkeypatch.setattr(mkg.extremal, "_hits", counted)
-        g = generate("flower(9)")
+        g = flower(9)
         r = g.n // 2
         cert = ex_exact(g, r)
         assert cert == star_removal_bound(g, r)
@@ -341,7 +345,7 @@ class TestSeedProof:
         # it the seed proof lists nothing itself
         hosts = [g for path in sorted(helpers.FIXTURES.glob("*.g6"))
                  for g in load_fixture(path.name) if g.n % 2 == 0 and g.n]
-        hosts += [generate(f"flower({k})") for k in range(3, 10)]
+        hosts += [flower(k) for k in range(3, 10)]
         for g in hosts:
             r = g.n // 2
             listed = enumerate_matchings(g, r)
@@ -388,11 +392,11 @@ class TestDegreeCap:
 
 class TestValidateCertificate:
     def test_accepts_good(self):
-        g = generate("petersen")
+        g = petersen()
         assert validate_certificate(g, ex_exact(g, 5))
 
     def test_rejects_bad(self):
-        g = generate("cycle(5)")
+        g = cycle(5)
         assert not validate_certificate(
             g, ExtremalCertificate(frozenset({0, 1}), 3, 2))  # value mismatch
         assert not validate_certificate(
@@ -412,7 +416,7 @@ class TestValidateCertificate:
     def test_recheck_is_independent_of_the_search(self, monkeypatch):
         # the search grows matchings with the blossom search; the re-check
         # must reach its verdict without it
-        g = generate("petersen")
+        g = petersen()
         cert = ex_exact(g, 5)
 
         def fail(*args):

@@ -4,13 +4,14 @@ from math import comb
 import networkx as nx
 import pytest
 
-from helpers import bad_counts, random_graph
+from helpers import bad_counts, build_kneser, random_graph
 from mkg import (
-    build_kneser,
     build_matching_kneser,
+    cycle,
     disjoint_matching,
     enumerate_matchings,
-    generate,
+    petersen,
+    star,
     to_dot,
 )
 
@@ -34,31 +35,31 @@ def _disjoint_pairs(kg):
 
 class TestBuildMatchingKneser:
     def test_petersen_r5_edgeless(self):
-        kg = build_matching_kneser(generate("petersen"), 5)
+        kg = build_matching_kneser(petersen(), 5)
         assert kg.n == 6 and kg.m == 0
 
     def test_c5_r2_is_five_cycle(self):
-        kg = build_matching_kneser(generate("cycle(5)"), 2)
+        kg = build_matching_kneser(cycle(5), 2)
         assert kg.n == 5 and kg.m == 5
         assert all(row.bit_count() == 2 for row in kg.rows)
-        assert nx.is_isomorphic(_nx(kg), _nx(generate("cycle(5)")))
+        assert nx.is_isomorphic(_nx(kg), _nx(cycle(5)))
 
     def test_no_matchings_gives_null(self):
-        kg = build_matching_kneser(generate("star(3)"), 2)
+        kg = build_matching_kneser(star(3), 2)
         assert kg.n == 0 and kg.m == 0
 
     def test_rejects_r_zero(self):
         with pytest.raises(ValueError):
-            build_matching_kneser(generate("cycle(5)"), 0)
+            build_matching_kneser(cycle(5), 0)
 
     @pytest.mark.parametrize("r", [*bad_counts(1), -1])
     def test_rejects_non_int_r(self, r):
         # "2" used to raise TypeError from the r < 1 test
         with pytest.raises(ValueError, match="an int r >= 1"):
-            build_matching_kneser(generate("petersen"), r)
+            build_matching_kneser(petersen(), r)
 
     def test_vertex_order_matches_enumeration(self):
-        g = generate("petersen")
+        g = petersen()
         kg = build_matching_kneser(g, 3)
         assert list(kg.vertices) == enumerate_matchings(g, 3)
         assert kg.base is g and kg.r == 3
@@ -95,8 +96,7 @@ class TestBuildKneser:
             assert all(row.bit_count() == want for row in kg.rows)
 
     def test_petersen_is_kg_5_2(self):
-        assert nx.is_isomorphic(_nx(build_kneser(5, 2)),
-                                _nx(generate("petersen")))
+        assert nx.is_isomorphic(_nx(build_kneser(5, 2)), _nx(petersen()))
 
     def test_rejects_bad_args(self):
         # build_kneser(True, True) used to build KG(1, 1)
@@ -123,13 +123,13 @@ class TestStructurallyEquivalent:
         # TestBuildKneser.test_rows_equal_matching_route
         for n in range(2, 7):
             for r in range(1, n + 1):
-                a = build_matching_kneser(generate(f"disjoint_matching({n})"), r)
+                a = build_matching_kneser(disjoint_matching(n), r)
                 b = build_kneser(n, r)
                 assert nx.is_isomorphic(_nx(a), _nx(b)), (n, r)
 
 
 def test_to_dot_golden():
-    kg = build_matching_kneser(generate("cycle(5)"), 2)
+    kg = build_matching_kneser(cycle(5), 2)
     want = """graph kneser {
   0 [label="0-1,2-3"];
   1 [label="0-1,3-4"];
@@ -157,7 +157,7 @@ def test_to_dot_edges_are_disjoint_pairs_in_order():
 
 
 def test_to_dot_edgeless():
-    kg = build_matching_kneser(generate("petersen"), 5)
+    kg = build_matching_kneser(petersen(), 5)
     text = to_dot(kg)
     assert text.startswith("graph kneser {")
     assert text.count("[label=") == 6

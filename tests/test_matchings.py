@@ -5,21 +5,23 @@ import time
 import pytest
 
 from helpers import (FIXTURES, bad_counts, brute_matching_number,
-                     brute_matchings, load_fixture, random_graph, ref_augment,
+                     brute_matchings, edge_subgraph, load_fixture,
+                     matching_number, random_graph, ref_augment,
                      ref_pairwise_intersect, ref_r_matchings,
                      ref_schonberger_check)
 from mkg import (
     Graph,
     bridges,
     build_matching_kneser,
+    complete,
+    cycle,
     enumerate_matchings,
-    enumerate_perfect_matchings,
-    generate,
+    flower,
     has_matching_of_size,
-    matching_number,
     parse_graph6,
-    perfect_matchings_pairwise_intersect,
+    petersen,
     schonberger_check,
+    star,
 )
 from mkg.edge_coloring import chromatic_index
 from mkg.matchings import _augment, _search, pairwise_intersect
@@ -40,15 +42,15 @@ def _dense_r2_hosts(seed):
 
 class TestEnumeration:
     def test_known_counts(self):
-        assert len(enumerate_matchings(generate("petersen"), 5)) == 6
-        assert len(enumerate_matchings(generate("cycle(5)"), 2)) == 5
-        assert enumerate_matchings(generate("star(3)"), 2) == []
-        g = generate("complete(4)")
+        assert len(enumerate_matchings(petersen(), 5)) == 6
+        assert len(enumerate_matchings(cycle(5), 2)) == 5
+        assert enumerate_matchings(star(3), 2) == []
+        g = complete(4)
         assert len(enumerate_matchings(g, 1)) == g.m
         assert enumerate_matchings(g, 0) == [()]
 
     def test_lexicographic_order_and_shape(self):
-        g = generate("petersen")
+        g = petersen()
         for r in (1, 2, 3):
             tuples = enumerate_matchings(g, r)
             assert tuples == sorted(tuples)
@@ -73,7 +75,7 @@ class TestEnumeration:
     def test_flower_j9_perfect_matchings(self):
         # n = 36: an edge-index backtracker dies late at r = n/2 and took
         # seconds already for J7; branching on vertices takes milliseconds
-        g = generate("flower(9)")
+        g = flower(9)
         start = time.perf_counter()
         pms = enumerate_matchings(g, 18)
         assert time.perf_counter() - start < 10
@@ -83,7 +85,7 @@ class TestEnumeration:
                    for pm in pms)
 
     def test_matching_mask_and_endpoints(self):
-        g = generate("cycle(6)")
+        g = cycle(6)
         mt = enumerate_matchings(g, 3)[0]
         assert len(mt) == 3
         assert sum(1 << e for e in mt).bit_count() == 3
@@ -93,18 +95,18 @@ class TestEnumeration:
 class TestSearchTwin:
     """_search against tests/helpers.ref_r_matchings, the edge-index
     backtracker it replaced: the same lists in the same order, and the
-    same first hit, with and without an allowed subset."""
+    same first hit, on the graph and on random spanning subgraphs of it
+    (so the slack-0 look-ahead also meets partial edge sets)."""
 
     @staticmethod
     def _agree(g, r, rng, subsets=2):
-        for allowed in [None] + [rng.getrandbits(g.m)
-                                 for _ in range(subsets)]:
+        for h in [g] + [edge_subgraph(g, rng.getrandbits(g.m))
+                        for _ in range(subsets)]:
             for first in (False, True):
                 seen = []
-                stopped = _search(g, r, allowed,
-                                  lambda mt: seen.append(mt) or first)
-                assert seen == ref_r_matchings(g, r, allowed, first), (
-                    g.edges, r, allowed, first)
+                stopped = _search(h, r, lambda mt: seen.append(mt) or first)
+                assert seen == ref_r_matchings(h, r, first), (
+                    h.edges, r, first)
                 assert stopped == (first and bool(seen))
 
     def test_catalog(self):
@@ -135,13 +137,13 @@ class TestSearchTwin:
 
     def test_negative_size(self):
         with pytest.raises(ValueError):
-            enumerate_matchings(generate("cycle(4)"), -1)
+            enumerate_matchings(cycle(4), -1)
 
     @pytest.mark.parametrize("r", bad_counts(0))
     def test_non_int_size(self, r):
         # 2.5 used to fail with IndexError inside _search, and True ran
         # as r = 1; every entry point into _search rejects them
-        g = generate("petersen")
+        g = petersen()
         for call in (lambda: enumerate_matchings(g, r),
                      lambda: has_matching_of_size(g, r)):
             with pytest.raises(ValueError, match="an int r >= 0"):
@@ -176,9 +178,9 @@ class TestAugmentTwin:
 
 class TestMatchingNumber:
     def test_examples(self):
-        assert matching_number(generate("petersen")) == 5
-        assert matching_number(generate("star(3)")) == 1
-        assert matching_number(generate("cycle(5)")) == 2
+        assert matching_number(petersen()) == 5
+        assert matching_number(star(3)) == 1
+        assert matching_number(cycle(5)) == 2
         assert matching_number(Graph(4, [])) == 0
         assert matching_number(Graph(0, [])) == 0
 
@@ -210,7 +212,7 @@ class TestMatchingNumber:
 
 class TestHasMatching:
     def test_early_exit_witness(self):
-        g = generate("petersen")
+        g = petersen()
         w = has_matching_of_size(g, 5)
         assert w is not None and len(w) == 5
         seen = set()
@@ -221,63 +223,61 @@ class TestHasMatching:
         assert has_matching_of_size(g, 6) is None
 
     def test_allowed_subsets(self):
-        g = generate("cycle(5)")
-        # edges (0,1),(0,4),(1,2),(2,3),(3,4)
-        assert has_matching_of_size(g, 2, allowed=0b01001) is not None
-        assert has_matching_of_size(g, 2, allowed=0b00011) is None
-
-    def test_allowed_must_be_an_edge_mask(self):
-        g = generate("cycle(6)")
-        for bad in (-1, -(1 << 6), 1 << 6, 1 << 40, (1 << 7) - 1):
-            with pytest.raises(ValueError):
-                has_matching_of_size(g, 2, allowed=bad)
-        # True used to read as the mask of edge 0
-        for bad in bad_counts(0):
-            with pytest.raises(ValueError, match="an int allowed >= 0"):
-                has_matching_of_size(g, 1, allowed=bad)
-        assert has_matching_of_size(g, 2, allowed=(1 << 6) - 1) == (0, 3)
-        assert has_matching_of_size(g, 2, allowed=0) is None
-        assert has_matching_of_size(g, 0, allowed=0) == ()
+        g = cycle(5)
+        # edges (0,1),(0,4),(1,2),(2,3),(3,4); the spanning subgraphs on
+        # the edges of each mask
+        assert has_matching_of_size(edge_subgraph(g, 0b01001), 2) == (0, 1)
+        assert has_matching_of_size(edge_subgraph(g, 0b00011), 2) is None
+        assert has_matching_of_size(edge_subgraph(g, 0), 2) is None
+        assert has_matching_of_size(edge_subgraph(g, 0), 0) == ()
 
     def test_agrees_with_enumeration(self):
-        # the witness is the first enumerated r-matching inside allowed
+        # the witness is the first r-matching of the graph or of a random
+        # spanning subgraph, as enumerated and as the edge-index twin
+        # finds it
         rng = random.Random(303)
         mask_rng = random.Random(304)
         for _ in range(80):
             g = random_graph(rng, rng.randrange(1, 9), rng.random())
             for r in (1, 2, 3):
-                every = enumerate_matchings(g, r)
-                for allowed in [None] + [mask_rng.getrandbits(g.m)
-                                         for _ in range(4)]:
-                    inside = [mt for mt in every if allowed is None
-                              or all(allowed >> e & 1 for e in mt)]
-                    assert (has_matching_of_size(g, r, allowed=allowed)
-                            == (inside[0] if inside else None))
+                for h in [g] + [edge_subgraph(g, mask_rng.getrandbits(g.m))
+                                for _ in range(4)]:
+                    every = enumerate_matchings(h, r)
+                    want = every[0] if every else None
+                    assert has_matching_of_size(h, r) == want
+                    assert ref_r_matchings(h, r, first=True) == every[:1]
 
 
 class TestPerfectMatchings:
     def test_examples(self):
-        assert len(enumerate_perfect_matchings(generate("petersen"))) == 6
-        assert len(enumerate_perfect_matchings(generate("complete(4)"))) == 3
-        assert enumerate_perfect_matchings(generate("cycle(5)")) == []
-        assert enumerate_perfect_matchings(generate("cycle(6)")) != []
+        # the perfect matchings are the r-matchings at r = n/2
+        assert len(enumerate_matchings(petersen(), 5)) == 6
+        assert len(enumerate_matchings(complete(4), 2)) == 3
+        assert len(enumerate_matchings(cycle(6), 3)) == 2
+        assert enumerate_matchings(star(3), 2) == []
 
     def test_odd_order_empty(self):
-        assert enumerate_perfect_matchings(generate("star(2)")) == []
+        # no matching covers an odd vertex set, so schonberger_check
+        # reads no perfect matching, and its first edge pair meets all
+        # of none
+        assert enumerate_matchings(star(2), 2) == []
+        assert enumerate_matchings(cycle(5), 3) == []
+        assert schonberger_check(star(2)) == (False, (0, 1))
+        assert schonberger_check(cycle(5)) == (False, (0, 1))
 
 
 class TestSchonberger:
     def test_petersen_passes(self):
-        ok, pair = schonberger_check(generate("petersen"))
+        ok, pair = schonberger_check(petersen())
         assert ok and pair is None
 
     def test_failure_names_lex_first_edge_pair(self):
-        g = generate("cycle(4)")
+        g = cycle(4)
         ok, pair = schonberger_check(g)
         assert not ok
         assert pair == (0, 1)  # edges (0,1) and (0,3): every PM hits one
         e, f = pair
-        for pm in enumerate_perfect_matchings(g):
+        for pm in enumerate_matchings(g, 2):
             assert e in pm or f in pm
 
     def test_needs_two_edges(self):
@@ -309,7 +309,7 @@ class TestSchonberger:
             got = schonberger_check(g)
             assert got == ref_schonberger_check(g), g
             kinds.add((got[0], bool(bridges(g)),
-                       bool(enumerate_perfect_matchings(g))))
+                       bool(enumerate_matchings(g, g.n // 2))))
         # passes and failures, graphs with bridges, graphs with no
         # perfect matching
         assert {ok for ok, _, _ in kinds} == {True, False}
@@ -317,9 +317,15 @@ class TestSchonberger:
         assert any(not has_pm for _, _, has_pm in kinds)
 
     def test_pairwise_intersect_wrapper(self):
-        assert perfect_matchings_pairwise_intersect(generate("petersen"))
-        assert not perfect_matchings_pairwise_intersect(generate("complete(4)"))
-        assert perfect_matchings_pairwise_intersect(generate("cycle(5)"))  # vacuous
+        # pairwise_intersect over the perfect matchings, the mechanism
+        # that leaves KG(G, rK2) edgeless at n = 2r
+        def perfect(g):
+            return enumerate_matchings(g, g.n // 2)
+        assert pairwise_intersect(perfect(petersen()))
+        assert not pairwise_intersect(perfect(complete(4)))
+        assert pairwise_intersect(perfect(star(3)))  # vacuous: none
+        path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert len(perfect(path)) == 1 and pairwise_intersect(perfect(path))
 
     def test_pairwise_intersect_twin(self):
         # the per-edge holder masks against the pair-by-pair test: random
@@ -354,9 +360,9 @@ class TestSchonberger:
 
     def test_pairwise_intersect_on_kneser_vertices(self):
         # the verifier's use: the r-matchings of a host, edgeless KG or not
-        for name, r in (("petersen", 5), ("petersen", 4), ("complete(6)", 3),
-                        ("cycle(7)", 3), ("flower(5)", 10)):
-            ms = build_matching_kneser(generate(name), r).vertices
+        for g, r in ((petersen(), 5), (petersen(), 4), (complete(6), 3),
+                     (cycle(7), 3), (flower(5), 10)):
+            ms = build_matching_kneser(g, r).vertices
             assert pairwise_intersect(ms) is ref_pairwise_intersect(ms)
 
     def test_class_two_cubic_implies_intersecting(self):
@@ -364,4 +370,4 @@ class TestSchonberger:
                      "blanusa_2.g6"):
             g = load_fixture(name)[0]
             assert chromatic_index(g).chromatic_index == 4
-            assert perfect_matchings_pairwise_intersect(g)
+            assert pairwise_intersect(enumerate_matchings(g, g.n // 2))

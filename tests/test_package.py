@@ -6,7 +6,7 @@ import pytest
 
 import mkg
 from mkg import (Coloring, ConjectureReport, EdgeColoringResult,
-                 ExtremalCertificate, ScanError, build_kneser, generate)
+                 ExtremalCertificate, ScanError, build_matching_kneser, cycle)
 from mkg.verifier import skipped_report
 
 
@@ -35,9 +35,9 @@ def test_import_loads_no_dataclasses_or_inspect():
 @pytest.mark.parametrize("record", [
     Coloring((0, 1), 2),
     ExtremalCertificate(frozenset({0}), 1, 2),
-    build_kneser(4, 2),
+    build_matching_kneser(cycle(4), 2),
     EdgeColoringResult(3, (0, 1, 2), "one"),
-    skipped_report(generate("cycle(5)")),
+    skipped_report(cycle(5)),
     ScanError(1, "bad byte"),
 ], ids=lambda rec: type(rec).__name__)
 def test_records_are_immutable(record):

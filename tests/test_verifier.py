@@ -12,12 +12,17 @@ from mkg import (
     ScanError,
     build_matching_kneser,
     chromatic_number,
-    generate,
+    complete,
+    cycle,
+    disjoint_matching,
+    flower,
     is_snark,
+    petersen,
     report_from_json,
     report_to_json,
     scan_catalog,
     scan_lines,
+    star,
     verify_conjecture,
     write_graph6,
 )
@@ -35,7 +40,7 @@ from mkg.verifier import (
 
 class TestVerifyConjecture:
     def test_petersen_counterexample(self):
-        g = generate("petersen")
+        g = petersen()
         rep = verify_conjecture(g, 5)
         assert rep.verdict == VERDICT_COUNTEREXAMPLE
         assert rep.n == 10 and rep.m == 15 and rep.r == 5
@@ -49,14 +54,14 @@ class TestVerifyConjecture:
         assert rep.certificates["coloring"] == [0] * 6
 
     def test_c5_holds(self):
-        rep = verify_conjecture(generate("cycle(5)"), 2)
+        rep = verify_conjecture(cycle(5), 2)
         assert rep.verdict == VERDICT_HOLDS
         assert rep.chromatic_number == 3 and rep.rhs == 3
         assert not rep.is_snark
         assert "pairwise_intersect" not in rep.certificates
 
     def test_empty_kneser_holds(self):
-        rep = verify_conjecture(generate("star(3)"), 2)
+        rep = verify_conjecture(star(3), 2)
         assert rep.verdict == VERDICT_HOLDS
         assert rep.chromatic_number == 0 and rep.rhs == 0
         assert rep.kneser_vertices == 0
@@ -78,7 +83,7 @@ class TestVerifyConjecture:
             assert rep.chromatic_number <= rep.rhs
 
     def test_not_connected(self):
-        rep = verify_conjecture(generate("disjoint_matching(3)"), 2)
+        rep = verify_conjecture(disjoint_matching(3), 2)
         assert rep.verdict == VERDICT_NOT_CONNECTED
         # sides still computed: any two 2-subsets of 3 edges intersect,
         # so the KG is 3 isolated vertices
@@ -86,7 +91,7 @@ class TestVerifyConjecture:
         assert rep.chromatic_number == 1
 
     def test_r_one_out_of_scope(self):
-        g = generate("cycle(5)")
+        g = cycle(5)
         rep = verify_conjecture(g, 1)
         assert rep.verdict == VERDICT_OUT_OF_SCOPE
         # KG(G, 1K2) is the complete graph on m vertices
@@ -95,14 +100,14 @@ class TestVerifyConjecture:
 
     def test_rejects_r_zero(self):
         with pytest.raises(ValueError):
-            verify_conjecture(generate("cycle(5)"), 0)
+            verify_conjecture(cycle(5), 0)
 
     @pytest.mark.parametrize("r", bad_counts(1))
     def test_rejects_non_int_r(self, r):
         # True would run as r = 1 and write "r":true; 2.5 used to fail
         # with IndexError deep in the matching search
         with pytest.raises(ValueError, match="an int r >= 1"):
-            verify_conjecture(generate("petersen"), r)
+            verify_conjecture(petersen(), r)
 
     @pytest.mark.parametrize("budget", bad_counts(0) + ["x"])
     def test_rejects_non_int_budget_before_any_search(self, budget,
@@ -114,7 +119,7 @@ class TestVerifyConjecture:
         monkeypatch.setattr(mkg.verifier, "build_matching_kneser",
                             lambda g, r: builds.append(r) or real(g, r))
         with pytest.raises(ValueError, match="an int budget >= 0"):
-            verify_conjecture(generate("complete(6)"), 2, budget=budget)
+            verify_conjecture(complete(6), 2, budget=budget)
         assert builds == []
 
     def test_rejects_host_past_graph6_before_any_search(self, monkeypatch):
@@ -125,11 +130,11 @@ class TestVerifyConjecture:
         monkeypatch.setattr(mkg.verifier, "build_matching_kneser",
                             lambda g, r: builds.append(r) or real(g, r))
         with pytest.raises(ValueError, match="requires n <= 62"):
-            verify_conjecture(generate("cycle(64)"), 2)
+            verify_conjecture(cycle(64), 2)
         assert builds == []
 
     def test_undecided_on_tiny_budget(self):
-        rep = verify_conjecture(generate("complete(7)"), 2, budget=3)
+        rep = verify_conjecture(complete(7), 2, budget=3)
         assert rep.verdict == VERDICT_UNDECIDED
         assert rep.chromatic_number == -1
         lo, hi = rep.certificates["chi_bounds"]
@@ -140,7 +145,7 @@ class TestVerifyConjecture:
         # the star-triangle count proves chi >= rhs for K6-K10, so the
         # greedy rhs-coloring is returned; chi(KG(Kn, 2K2)) = C(n-1, 2)
         for n in range(6, 11):
-            rep = verify_conjecture(generate(f"complete({n})"), 2)
+            rep = verify_conjecture(complete(n), 2)
             assert rep.verdict == VERDICT_HOLDS
             assert rep.chromatic_number == rep.rhs == (n - 1) * (n - 2) // 2
 
@@ -155,7 +160,7 @@ class TestVerifyConjecture:
         monkeypatch.setattr(mkg.verifier, "chromatic_number", spy)
         for n, r, budget in ((5, 2, 10**5), (6, 2, 10**5), (6, 2, 297),
                              (6, 3, 10**5)):
-            verify_conjecture(generate(f"complete({n})"), r, budget=budget)
+            verify_conjecture(complete(n), r, budget=budget)
         # K5 is not certified; K6 is, but not within 297 nodes (its
         # search then ends undecided); r = 3 is out of the bound's reach
         assert calls == [(5, 2, 10**5), (6, 2, 297), (6, 3, 10**5)]
@@ -165,7 +170,7 @@ class TestVerifyConjecture:
         # from a 4-colouring and soon meets a 3-colouring; it must then
         # return at every open node that already uses 3 colours, since
         # searching below them takes more than 10^5 nodes
-        f = generate("flower(7)")
+        f = flower(7)
         g = Graph(f.n - 1, [(a - 1, b - 1) for a, b in f.edges if a > 0])
         rep = verify_conjecture(g, 13)
         assert (rep.kneser_vertices, rep.kneser_edges) == (720, 4192)
@@ -175,7 +180,7 @@ class TestVerifyConjecture:
     def test_k7_at_r3_holds_within_1e5_nodes(self):
         # KG(K7, 3K2): 105 vertices, clique 7, rhs 10; the chi search
         # proves 10 colours optimal within 10^5 nodes
-        rep = verify_conjecture(generate("complete(7)"), 3, budget=10**5)
+        rep = verify_conjecture(complete(7), 3, budget=10**5)
         assert rep.verdict == VERDICT_HOLDS
         assert rep.chromatic_number == rep.rhs == 10
 
@@ -191,7 +196,7 @@ class TestVerifyConjecture:
 
 class TestSkippedReport:
     def test_fields(self):
-        g = generate("cycle(5)")
+        g = cycle(5)
         rep = skipped_report(g)
         assert rep.verdict == VERDICT_OUT_OF_SCOPE
         assert rep.r == 0 and rep.chromatic_number == 0
@@ -210,10 +215,10 @@ class TestSkippedReport:
 class TestScan:
     def test_order_and_errors(self):
         lines = [
-            write_graph6(generate("cycle(5)")),
+            write_graph6(cycle(5)),
             "",
             "!!notgraph6",
-            write_graph6(generate("petersen")),
+            write_graph6(petersen()),
         ]
         out = list(scan_lines(lines, 2))
         assert len(out) == 3
@@ -223,8 +228,8 @@ class TestScan:
         assert out[2].verdict == VERDICT_HOLDS  # r=2 on Petersen holds
 
     def test_half_order_policy(self):
-        lines = [write_graph6(generate("cycle(5)")),
-                 write_graph6(generate("cycle(6)"))]
+        lines = [write_graph6(cycle(5)),
+                 write_graph6(cycle(6))]
         out = list(scan_lines(lines, "half-order"))
         assert out[0].verdict == VERDICT_OUT_OF_SCOPE and out[0].r == 0
         assert out[1].r == 3
@@ -233,19 +238,19 @@ class TestScan:
         pulled = []
 
         def lines():
-            for name in ("cycle(4)", "cycle(5)"):
-                pulled.append(name)
-                yield write_graph6(generate(name))
+            for n in (4, 5):
+                pulled.append(n)
+                yield write_graph6(cycle(n))
 
         out = scan_lines(lines(), 2)
-        assert next(out).n == 4 and pulled == ["cycle(4)"]
-        assert next(out).n == 5 and pulled == ["cycle(4)", "cycle(5)"]
+        assert next(out).n == 4 and pulled == [4]
+        assert next(out).n == 5 and pulled == [4, 5]
 
     def test_scan_catalog(self, tmp_path):
         path = tmp_path / "cat.g6"
-        path.write_bytes(write_graph6(generate("cycle(4)")).encode() + b"\n\n"
+        path.write_bytes(write_graph6(cycle(4)).encode() + b"\n\n"
                          + b"D\xc3\xa9\n"
-                         + write_graph6(generate("cycle(5)")).encode() + b"\n")
+                         + write_graph6(cycle(5)).encode() + b"\n")
         out = list(scan_catalog(path, 2))
         assert [rep.n for rep in out if not isinstance(rep, ScanError)] == [4, 5]
         assert isinstance(out[1], ScanError) and out[1].line == 3
@@ -256,8 +261,8 @@ class TestScan:
             list(scan_lines(["A_"], 0))
 
     @pytest.mark.parametrize("catalog", [
-        [write_graph6(generate("cycle(4)")),
-         write_graph6(generate("cycle(5)"))],
+        [write_graph6(cycle(4)),
+         write_graph6(cycle(5))],
         ["!!notgraph6", "~"],
     ], ids=["parsable", "unparsable"])
     @pytest.mark.parametrize("policy", [2.5, True, 0, -1, "two", None])
@@ -278,7 +283,7 @@ class TestScan:
         pulled = []
 
         def lines():
-            for g in (generate("cycle(4)"), generate("cycle(5)")):
+            for g in (cycle(4), cycle(5)):
                 pulled.append(g)
                 yield write_graph6(g)
 
@@ -286,7 +291,7 @@ class TestScan:
             next(scan_lines(lines(), 2, budget=budget))
         assert pulled == []
         path = tmp_path / "c.g6"
-        path.write_text(write_graph6(generate("cycle(4)")) + "\n")
+        path.write_text(write_graph6(cycle(4)) + "\n")
         with pytest.raises(ValueError, match="an int budget >= 0"):
             next(scan_catalog(path, 2, budget=budget))
 
@@ -309,9 +314,9 @@ class TestSelfCheck:
 
         monkeypatch.setattr(verifier, "chromatic_number", one_color)
         with pytest.raises(verifier.SelfCheckError):
-            verify_conjecture(generate("cycle(5)"), 2)  # KG is a 5-cycle
+            verify_conjecture(cycle(5), 2)  # KG is a 5-cycle
         # an edgeless Kneser graph really is 1-colorable
-        assert verify_conjecture(generate("petersen"), 5).chromatic_number == 1
+        assert verify_conjecture(petersen(), 5).chromatic_number == 1
 
     def test_chi_above_rhs_raises(self, monkeypatch):
         from mkg import Coloring, validate_coloring
@@ -320,7 +325,7 @@ class TestSelfCheck:
         # a proper 4-coloring of KG(C5, 2K2), whose rhs is 3: without the
         # theorem check it reads as a counterexample
         four = Coloring((0, 0, 1, 2, 3), 4)
-        g = generate("cycle(5)")
+        g = cycle(5)
         assert validate_coloring(build_matching_kneser(g, 2), four)
         monkeypatch.setattr(verifier, "chromatic_number",
                             lambda kg, budget: (4, four))
@@ -336,7 +341,7 @@ class TestSelfCheck:
 
         monkeypatch.setattr(verifier, "chromatic_number", stuck)
         with pytest.raises(verifier.SelfCheckError, match="at least 4"):
-            verify_conjecture(generate("cycle(5)"), 2)
+            verify_conjecture(cycle(5), 2)
 
     def test_coloring_below_the_bound_raises(self, monkeypatch):
         from mkg import Coloring
@@ -356,7 +361,7 @@ class TestSelfCheck:
         monkeypatch.setattr(verifier, "greedy_ex_coloring", merged)
         with pytest.raises(verifier.SelfCheckError,
                            match="9-coloring .* refutes the star-triangle"):
-            verify_conjecture(generate("complete(6)"), 2)
+            verify_conjecture(complete(6), 2)
 
     def test_bad_ex_certificate_raises(self, monkeypatch):
         from mkg import ExtremalCertificate
@@ -367,7 +372,7 @@ class TestSelfCheck:
 
         monkeypatch.setattr(verifier, "ex_exact", all_edges)
         with pytest.raises(verifier.SelfCheckError):
-            verify_conjecture(generate("cycle(5)"), 2)
+            verify_conjecture(cycle(5), 2)
 
     def test_failed_pairwise_recheck_raises(self, monkeypatch):
         import mkg.verifier as verifier
@@ -376,16 +381,15 @@ class TestSelfCheck:
         # share an edge, chi 1 would read as a counterexample
         monkeypatch.setattr(verifier, "pairwise_intersect", lambda ms: False)
         with pytest.raises(verifier.SelfCheckError, match="pairwise"):
-            verify_conjecture(generate("petersen"), 5)
+            verify_conjecture(petersen(), 5)
         # the re-check only runs on a nonempty edgeless Kneser graph
-        assert verify_conjecture(generate("cycle(5)"), 2).verdict \
+        assert verify_conjecture(cycle(5), 2).verdict \
             == VERDICT_HOLDS
 
 
 class TestJson:
     def test_round_trip_byte_identical(self):
-        for g, r in [(generate("petersen"), 5), (generate("cycle(5)"), 2),
-                     (generate("star(3)"), 2)]:
+        for g, r in [(petersen(), 5), (cycle(5), 2), (star(3), 2)]:
             line = report_to_json(verify_conjecture(g, r))
             again = report_to_json(report_from_json(line))
             assert line == again
@@ -393,7 +397,7 @@ class TestJson:
             assert json.dumps(json.loads(line), separators=(",", ":")) == line
 
     def test_field_order(self):
-        line = report_to_json(verify_conjecture(generate("cycle(5)"), 2))
+        line = report_to_json(verify_conjecture(cycle(5), 2))
         keys = list(json.loads(line).keys())
         assert keys == ["graph6", "n", "m", "r", "num_r_matchings",
                         "kneser_vertices", "kneser_edges", "chromatic_number",
@@ -416,8 +420,7 @@ class TestJson:
         ("ex_value", 2.5), ("rhs", [3]), ("verdict", "maybe"),
         ("is_snark", 0), ("certificates", [])])
     def test_rejects_bad_field(self, field, bad):
-        d = json.loads(report_to_json(verify_conjecture(generate("cycle(5)"),
-                                                        2)))
+        d = json.loads(report_to_json(verify_conjecture(cycle(5), 2)))
         d[field] = bad
         with pytest.raises(ValueError, match=f"field {field} is"):
             report_from_json(json.dumps(d))
@@ -441,7 +444,7 @@ def test_counterexample_certificates_revalidate():
     from mkg import Coloring, ExtremalCertificate, validate_certificate
     from mkg import validate_coloring
 
-    g = generate("petersen")
+    g = petersen()
     rep = verify_conjecture(g, 5)
     cert = ExtremalCertificate(frozenset(rep.certificates["extremal_edges"]),
                                rep.ex_value, rep.r)
@@ -472,7 +475,7 @@ def _golden_reports():
     hosts = (FIXTURES / "connected_n7.g6").read_text().splitlines()[::20]
     for r in (2, 3):
         yield from scan_lines(hosts, r)
-    k7 = generate("complete(7)")
+    k7 = complete(7)
     yield verify_conjecture(k7, 3)
     yield verify_conjecture(k7, 3, budget=50)
 
@@ -507,7 +510,7 @@ FLOWER_J7_SHA256 = ("2a83c33d22bb2da98934391ce0c86ff3"
 def test_flower_j7_report():
     # n = 28, r = 14: 128 perfect matchings, pairwise intersecting, so
     # KG(J7, 14K2) is edgeless; the r-matching search dominates here
-    (rep,) = scan_lines([write_graph6(generate("flower(7)"))], "half-order")
+    (rep,) = scan_lines([write_graph6(flower(7))], "half-order")
     assert rep.verdict == VERDICT_COUNTEREXAMPLE
     assert (rep.r, rep.num_r_matchings, rep.kneser_edges) == (14, 128, 0)
     assert (rep.chromatic_number, rep.rhs, rep.ex_value) == (1, 3, 39)
