@@ -26,14 +26,13 @@ Berge's theorem says it is enough) decides each keep.
 At n = 2r a seed proof runs before the branch and bound.  Every
 r-matching is then perfect, and the star seed keeps m - delta edges; it
 is optimal exactly when no set of at most delta - 1 edges meets every
-perfect matching.  A bounded hitting search over a listing of the
-perfect matchings (the verifier passes its Kneser build's) decides
-that: any such set meets the first matching not yet met, so it
-branches on that matching's edges.  When no set exists the seed is
-returned, which the branch and bound would return too, since it only
-replaces the incumbent on a strict gain.  On a snark this is
-Schonberger's theorem at work: every two edges of a bridgeless cubic
-graph are missed by some perfect matching.
+perfect matching.  The hitting search matchings._hits over a listing
+of the perfect matchings (the verifier passes its Kneser build's)
+decides that.  When no set exists the seed is returned, which the
+branch and bound would return too, since it only replaces the
+incumbent on a strict gain.  On a snark this is Schonberger's theorem
+at work, which schonberger_check tests with the same search at d = 2:
+no two edges of a bridgeless cubic graph meet every perfect matching.
 
 validate_certificate re-checks that the kept subgraph holds no
 r-matching with the matchings backtracker instead, a code path the
@@ -45,8 +44,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graph_core import Graph, allow_recursion, bit_indices, check_count
-from .matchings import (_augment, enumerate_matchings, has_matching_of_size,
-                        holder_index)
+from .matchings import (_augment, _hits, enumerate_matchings,
+                        has_matching_of_size, holder_index)
 
 
 class ExtremalCertificate(NamedTuple):
@@ -215,29 +214,8 @@ def _seed_is_optimal(g: Graph, r: int, seed_value: int, deg: list[int],
     if matchings is None:
         matchings = enumerate_matchings(g, r)
     allow_recursion(d)
-    return not _hits(matchings, holder_index(g.m, matchings),
-                     (1 << len(matchings)) - 1, d, 0)
-
-
-def _hits(matchings, holders: list[int], alive: int, d: int,
-          kept: int) -> bool:
-    """Do at most d more deletions, none of an edge in the bitmask
-    kept, meet every matching in the bitmask alive?  holders[e] is the
-    bitmask of the matchings holding edge e.  Any such D meets the
-    first alive matching, so the search branches on its edges; an edge
-    tried and failed is kept in the later branches and below them, so
-    no D is visited twice."""
-    if not alive:
-        return True
-    if not d:
-        return False
-    for e in matchings[(alive & -alive).bit_length() - 1]:
-        if kept >> e & 1:
-            continue
-        if _hits(matchings, holders, alive & ~holders[e], d - 1, kept):
-            return True
-        kept |= 1 << e
-    return False
+    return _hits(matchings, holder_index(g.m, matchings),
+                 (1 << len(matchings)) - 1, d) is None
 
 
 def _degree_cap(deg: list[int], k: int) -> int:

@@ -15,8 +15,9 @@ It hands each one to a visit callback and stops when visit returns a
 true value, so a caller that wants the first matching with some
 property (is_snark's even 2-factor) never enumerates the rest.  A
 caller that wants the matchings of a subgraph builds that subgraph.
-The blossom search _augment grows a maximum matching one augmenting
-path at a time for ex_exact.
+For ex_exact, the blossom search _augment grows a maximum matching one
+augmenting path at a time, and the hitting search _hits finds at most d
+edges meeting every listed matching (schonberger_check runs d = 2).
 """
 
 from __future__ import annotations
@@ -182,8 +183,8 @@ def _augment(n: int, rows: list[int], match: list[int], root: int) -> bool:
 
 def holder_index(m: int, matchings) -> list[int]:
     """holders[e] for each of the m host edges: the bitmask of the listed
-    matchings that hold e (bit j for matchings[j]).  The Kneser build,
-    ex's seed proof and schonberger_check all read this one index."""
+    matchings that hold e (bit j for matchings[j]).  The Kneser build
+    and _hits (ex's seed proof, schonberger_check) read this one index."""
     holders = [0] * m
     for j, mt in enumerate(matchings):
         bit = 1 << j
@@ -192,23 +193,33 @@ def holder_index(m: int, matchings) -> list[int]:
     return holders
 
 
-def schonberger_check(g: Graph):
-    """Does every pair of distinct edges miss some perfect matching?
+def _hits(matchings, holders: list[int], alive: int, d: int, kept: int = 0):
+    """A tuple of at most d edges, none in the bitmask kept, that meets
+    every matching in the bitmask alive, or None.  holders is their
+    holder_index.  Any such set meets the first alive matching, so the
+    search branches on its edges; an edge tried and failed is kept in
+    the later branches and below them, so no set is visited twice."""
+    if not alive:
+        return ()
+    if not d:
+        return None
+    for e in matchings[(alive & -alive).bit_length() - 1]:
+        if kept >> e & 1:
+            continue
+        rest = _hits(matchings, holders, alive & ~holders[e], d - 1, kept)
+        if rest is not None:
+            return (e,) + rest
+        kept |= 1 << e
+    return None
 
-    Returns (True, None), or (False, (e, f)) with the lexicographically
-    first pair of edge indices that every perfect matching meets: one
-    OR, holders[e] | holders[f], covers them all.  Requires m >= 2.
-    """
-    if g.m < 2:
-        raise ValueError("schonberger_check needs at least two edges")
+
+def schonberger_check(g: Graph):
+    """(True, None) when every two edges miss some perfect matching,
+    else (False, D): _hits at d = 2 found D, sorted, of at most two edge
+    indices meeting every perfect matching (D = () when there is none)."""
     pms = enumerate_matchings(g, g.n // 2) if g.n % 2 == 0 else []
-    holders = holder_index(g.m, pms)
-    everyone = (1 << len(pms)) - 1
-    for e in range(g.m):
-        for f in range(e + 1, g.m):
-            if holders[e] | holders[f] == everyone:
-                return False, (e, f)
-    return True, None
+    hit = _hits(pms, holder_index(g.m, pms), (1 << len(pms)) - 1, 2)
+    return (True, None) if hit is None else (False, tuple(sorted(hit)))
 
 
 def pairwise_intersect(matchings) -> bool:

@@ -38,11 +38,11 @@ class ConjectureReport(NamedTuple):
 
     certificates holds, in fixed key order: "extremal_edges" (sorted edge
     indices of the ex witness), "coloring" (color array over KG vertices
-    in enumeration order), "pairwise_intersect" (only when the KG is
-    nonempty and edgeless: an independent re-check that all r-matchings
-    pairwise share an edge), and "chi_bounds" (only on verdict
-    "undecided": the bounds the exhausted search had established, with
-    chromatic_number reported as -1).
+    in enumeration order), "pairwise_intersect" (true, only when the KG
+    is nonempty and edgeless: the coloring's one class, all r-matchings,
+    passed its re-check that they pairwise share an edge), and
+    "chi_bounds" (only on verdict "undecided": the bounds the exhausted
+    search had established, with chromatic_number reported as -1).
     """
 
     graph6: str
@@ -82,8 +82,9 @@ def verify_conjecture(g: Graph, r: int,
     sides; otherwise "counterexample" iff the sides differ.
 
     Before any report is returned the ex certificate, and the coloring
-    when one was found, are re-checked by independent code, and chi (or,
-    when undecided, its lower bound) is checked against the theorem
+    when one was found, are re-checked by independent code (each color
+    class by pairwise_intersect on its matchings), and chi (or, when
+    undecided, its lower bound) is checked against the theorem
     chi <= rhs; a failure raises SelfCheckError.  At r = 2, a host that
     star_triangle_bound certifies within the node budget has chi >= rhs,
     so the theorem's coloring (greedy_ex_coloring) is taken with no
@@ -126,18 +127,21 @@ def verify_conjecture(g: Graph, r: int,
         if col.k != chi or not validate_coloring(kg, col):
             raise SelfCheckError(
                 f"{chi}-coloring of KG({g6}, {r}K2) failed its re-check")
+        # independent classes pairwise intersect, by matchings, not rows
+        classes = [[] for _ in range(chi)]
+        for mt, c in zip(kg.vertices, col.colors):
+            classes[c].append(mt)
+        if not all(map(pairwise_intersect, classes)):
+            raise SelfCheckError(f"a color class of KG({g6}, {r}K2) "
+                                 "failed its pairwise re-check")
         certs["coloring"] = list(col.colors)
+        if chi == 1:  # one class: the matchings pairwise intersect
+            certs["pairwise_intersect"] = True
         lower = chi
     if lower > rhs:
         raise SelfCheckError(
             f"chi of KG({g6}, {r}K2) is at least {lower}, "
             f"above the theorem's bound rhs = {rhs}")
-    if kg.n > 0 and kg.m == 0:
-        # re-derive edgelessness straight from the matchings, not kg.rows
-        certs["pairwise_intersect"] = pairwise_intersect(kg.vertices)
-        if not certs["pairwise_intersect"]:
-            raise SelfCheckError(f"edgeless KG({g6}, {r}K2) "
-                                 "failed its pairwise re-check")
     if chi == -1:
         verdict = VERDICT_UNDECIDED
     elif not is_connected(g):
@@ -256,12 +260,19 @@ _VERDICTS = (VERDICT_HOLDS, VERDICT_COUNTEREXAMPLE, VERDICT_NOT_CONNECTED,
              VERDICT_OUT_OF_SCOPE, VERDICT_UNDECIDED)
 
 
+def _unique_keys(pairs) -> dict:
+    if len(d := dict(pairs)) != len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return d
+
+
 def report_from_json(text: str) -> ConjectureReport:
     """The report of a report_to_json line.  Raises ValueError unless
     the line is an object with exactly the report's keys, graph6 a
     string, the counts ints (not bools), verdict one of the five,
-    is_snark a bool and certificates an object."""
-    d = json.loads(text)
+    is_snark a bool and certificates an object, and no object at any
+    depth repeats a key."""
+    d = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(d, dict) or set(d) != set(ConjectureReport._fields):
         raise ValueError("not a ConjectureReport line")
     for name, value in d.items():

@@ -324,9 +324,10 @@ class TestSeedProof:
     def test_hitting_search_nodes_on_flower_j9(self, monkeypatch):
         # J9 at r = 18: no two edges meet every perfect matching, and the
         # hitting search proves it in at most r + r^2 nodes, one per
-        # deletion tried under a node of depth below d = 2
+        # deletion tried under a node of depth below d = 2.  ex_exact
+        # makes the first call, and the search recurses in matchings
         nodes = 0
-        hits = mkg.extremal._hits
+        hits = mkg.matchings._hits
 
         def counted(*args):
             nonlocal nodes
@@ -334,6 +335,7 @@ class TestSeedProof:
             return hits(*args)
 
         monkeypatch.setattr(mkg.extremal, "_hits", counted)
+        monkeypatch.setattr(mkg.matchings, "_hits", counted)
         g = flower(9)
         r = g.n // 2
         cert = ex_exact(g, r)

@@ -16,6 +16,7 @@ from mkg import (
     complete,
     cycle,
     enumerate_matchings,
+    ex_exact,
     flower,
     has_matching_of_size,
     parse_graph6,
@@ -258,12 +259,11 @@ class TestPerfectMatchings:
 
     def test_odd_order_empty(self):
         # no matching covers an odd vertex set, so schonberger_check
-        # reads no perfect matching, and its first edge pair meets all
-        # of none
+        # reads no perfect matching, and the empty set meets all of none
         assert enumerate_matchings(star(2), 2) == []
         assert enumerate_matchings(cycle(5), 3) == []
-        assert schonberger_check(star(2)) == (False, (0, 1))
-        assert schonberger_check(cycle(5)) == (False, (0, 1))
+        assert schonberger_check(star(2)) == (False, ())
+        assert schonberger_check(cycle(5)) == (False, ())
 
 
 class TestSchonberger:
@@ -280,10 +280,6 @@ class TestSchonberger:
         for pm in enumerate_matchings(g, 2):
             assert e in pm or f in pm
 
-    def test_needs_two_edges(self):
-        with pytest.raises(ValueError):
-            schonberger_check(Graph(2, [(0, 1)]))
-
     def test_cubic_corpus(self):
         # every bridgeless cubic graph passes; proved for the cubic case
         for g in load_fixture("cubic_bridgeless_n14.g6"):
@@ -291,9 +287,11 @@ class TestSchonberger:
             assert ok and pair is None
 
     def test_twin(self):
-        # one OR of two holder masks per edge pair against the pair-by-pair
-        # test: random graphs of even order (with and without a bridge or
-        # a perfect matching) and the cubic fixtures
+        # the hitting search at d = 2 against the pair-by-pair test:
+        # random graphs of even order (with and without a bridge or a
+        # perfect matching) and the cubic fixtures.  A failure's witness
+        # is sorted, has at most two edges and meets every perfect
+        # matching of the reference listing
         rng = random.Random(22)
         kinds = set()
         graphs = []
@@ -307,7 +305,14 @@ class TestSchonberger:
             graphs += load_fixture(name)
         for g in graphs:
             got = schonberger_check(g)
-            assert got == ref_schonberger_check(g), g
+            assert got[0] == ref_schonberger_check(g)[0], g
+            if got[0]:
+                assert got[1] is None
+            else:
+                hit = got[1]
+                assert list(hit) == sorted(set(hit)) and len(hit) <= 2, g
+                assert all(set(hit) & set(pm)
+                           for pm in ref_r_matchings(g, g.n // 2)), g
             kinds.add((got[0], bool(bridges(g)),
                        bool(enumerate_matchings(g, g.n // 2))))
         # passes and failures, graphs with bridges, graphs with no
@@ -315,6 +320,26 @@ class TestSchonberger:
         assert {ok for ok, _, _ in kinds} == {True, False}
         assert (False, True, True) in kinds and (True, False, True) in kinds
         assert any(not has_pm for _, _, has_pm in kinds)
+
+    def test_agrees_with_the_seed_proof(self):
+        # schonberger_check is the seed proof's hitting search at d = 2:
+        # on a cubic host at n = 2r, the star seed's m - 3 is ex exactly
+        # when no two edges meet every perfect matching.  Two K4s with
+        # one edge subdivided, joined at the subdivisions, have a bridge
+        # that every perfect matching holds
+        bridged = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3),
+                             (2, 4), (0, 5), (5, 6), (6, 7), (7, 8), (8, 9),
+                             (5, 9), (6, 8), (7, 9)])
+        graphs = load_fixture("cubic_bridgeless_n14.g6") + [petersen()]
+        graphs += load_fixture("blanusa_1.g6") + load_fixture("blanusa_2.g6")
+        graphs += [flower(k) for k in (5, 7, 9)] + [bridged]
+        assert len(graphs) == 22 and len(bridges(bridged)) == 1
+        seen = set()
+        for g in graphs:
+            ok = schonberger_check(g)[0]
+            assert ok == (ex_exact(g, g.n // 2).value == g.m - 3), g
+            seen.add(ok)
+        assert seen == {True, False}
 
     def test_pairwise_intersect_wrapper(self):
         # pairwise_intersect over the perfect matchings, the mechanism

@@ -382,9 +382,30 @@ class TestSelfCheck:
         monkeypatch.setattr(verifier, "pairwise_intersect", lambda ms: False)
         with pytest.raises(verifier.SelfCheckError, match="pairwise"):
             verify_conjecture(petersen(), 5)
-        # the re-check only runs on a nonempty edgeless Kneser graph
-        assert verify_conjecture(cycle(5), 2).verdict \
-            == VERDICT_HOLDS
+
+    def test_build_that_loses_an_adjacency_raises(self, monkeypatch):
+        import mkg.verifier as verifier
+
+        # KG(C7, 3K2) is the 7-cycle; without its first edge it is a path,
+        # 2-colourable against rhs = 3.  The colouring is proper for the
+        # build's rows, so only the re-check from the matchings sees that
+        # a colour class holds two disjoint 3-matchings
+        real = verifier.build_matching_kneser
+
+        def lossy(g, r):
+            kg = real(g, r)
+            i = next(v for v, row in enumerate(kg.rows) if row)
+            j = (kg.rows[i] & -kg.rows[i]).bit_length() - 1
+            rows = list(kg.rows)
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+            return kg._replace(rows=tuple(rows), m=kg.m - 1)
+
+        assert verify_conjecture(cycle(7), 3).verdict == VERDICT_HOLDS
+        monkeypatch.setattr(verifier, "build_matching_kneser", lossy)
+        with pytest.raises(verifier.SelfCheckError,
+                           match="color class .* pairwise"):
+            verify_conjecture(cycle(7), 3)
 
 
 class TestJson:
@@ -431,6 +452,18 @@ class TestJson:
             line = json.dumps(dict.fromkeys(ConjectureReport._fields, value))
             with pytest.raises(ValueError, match="field graph6 is"):
                 report_from_json(line)
+
+    def test_rejects_duplicate_keys(self):
+        # the last value would silently win: a Petersen line with a
+        # second n, and one with a second coloring inside certificates
+        line = report_to_json(verify_conjecture(petersen(), 5))
+        assert report_from_json(line).n == 10
+        for bad in (line[:-1] + ',"n":11}',
+                    line.replace('"certificates":{',
+                                 '"certificates":{"coloring":[0],')):
+            assert bad != line
+            with pytest.raises(ValueError, match="repeats a key"):
+                report_from_json(bad)
 
     def test_scan_error_json(self):
         assert (scan_error_to_json(ScanError(7, "bad byte"))
